@@ -1,6 +1,7 @@
 //! The `cascade` subcommands.
 
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use cascade_analyze::oracle::{check_plan, Violation};
@@ -12,7 +13,7 @@ use cascade_core::{
 };
 use cascade_mem::{machines, MachineConfig};
 use cascade_rt::{
-    ckpt, try_run_cascaded, try_run_cascaded_observed, try_run_governed, CancelToken, CkptMeta,
+    ckpt, try_run_cascaded, try_run_governed, try_run_governed_sequence, CancelToken, CkptMeta,
     CkptPolicy, CkptSink, CkptWriter, FaultEvent, FaultKind, FaultPlan, FaultyKernel, Observe,
     RealKernel, RetryPolicy, RtPolicy, RunConfig, RunError, RunnerConfig, SpecProgram, Tolerance,
     VerifyPolicy,
@@ -87,7 +88,8 @@ USAGE:
         --threads/--chunk-iters/--poll/--policy/--verify   as `rt`
                            (verification rides sequential/cascaded
                            stages; DOALL/DOACROSS stages have no
-                           sequential handoff to checksum)
+                           sequential handoff to checksum, so a plan
+                           with such a stage is refused under --verify)
 
   cascade metrics [options]
       Phase-level observability report of one cascaded run: per-worker
@@ -471,40 +473,39 @@ pub fn rt(args: &Args) -> Result<String, ArgError> {
 
     let mut prog = SpecProgram::new(workload, arena)
         .map_err(|e| ArgError::usage(format!("workload rejected by the analyzer: {e}")))?;
-    let cfg = RunnerConfig {
-        nthreads: threads,
-        iters_per_chunk: chunk_iters,
-        policy,
-        poll_batch: poll,
+    let cfg = RunConfig {
+        runner: RunnerConfig {
+            nthreads: threads,
+            iters_per_chunk: chunk_iters,
+            policy,
+            poll_batch: poll,
+        },
+        verify,
+        ..RunConfig::default()
     };
     let t0 = std::time::Instant::now();
-    let mut chunks = 0u64;
-    let mut helped = 0u64;
-    let mut iters = 0u64;
-    let mut verified = 0u64;
-    let mut scrubs = 0u64;
-    for i in 0..prog.num_loops() {
-        let k = prog.kernel(i);
-        let stats = if verify.armed() {
-            // The armed policies ride the governed runner: checksummed
-            // handoffs, claimant verification, and the arena scrubber.
-            let run_cfg = RunConfig {
-                runner: cfg.clone(),
-                verify,
-                ..RunConfig::default()
-            };
-            try_run_governed(&k, &run_cfg)
-                .map_err(|e| ArgError::verification(format!("loop {i}: {e}")))?
-        } else {
-            cascade_rt::run_cascaded(&k, &cfg)
-        };
-        chunks += stats.chunks;
-        iters += stats.iters;
-        helped += stats.threads.iter().map(|t| t.helper_iters).sum::<u64>();
-        verified += stats.threads.iter().map(|t| t.verified_chunks).sum::<u64>();
-        scrubs += stats.scrubs;
-    }
+    let all = {
+        // The whole loop sequence on one governed pool; an armed verify
+        // policy adds checksummed handoffs, claimant verification, and
+        // the arena scrubber.
+        let kernels: Vec<_> = (0..prog.num_loops()).map(|i| prog.kernel(i)).collect();
+        try_run_governed_sequence(&kernels, &cfg)
+            .map_err(|e| ArgError::verification(format!("cascaded run failed: {e}")))?
+    };
     let elapsed = t0.elapsed();
+    let chunks: u64 = all.iter().map(|s| s.chunks).sum();
+    let iters: u64 = all.iter().map(|s| s.iters).sum();
+    let helped: u64 = all
+        .iter()
+        .flat_map(|s| &s.threads)
+        .map(|t| t.helper_iters)
+        .sum();
+    let verified: u64 = all
+        .iter()
+        .flat_map(|s| &s.threads)
+        .map(|t| t.verified_chunks)
+        .sum();
+    let scrubs: u64 = all.iter().map(|s| s.scrubs).sum();
     let ok = prog.checksum() == expected.0;
 
     let mut out = format!(
@@ -722,18 +723,21 @@ pub fn metrics(args: &Args) -> Result<String, ArgError> {
             let prog = SpecProgram::new(workload, arena)
                 .map_err(|e| ArgError::usage(format!("workload rejected by the analyzer: {e}")))?;
             let k = prog.kernel(loop_idx);
-            let cfg = RunnerConfig {
-                nthreads: threads,
-                iters_per_chunk: chunk_iters,
-                policy,
-                poll_batch: poll,
+            let cfg = RunConfig {
+                runner: RunnerConfig {
+                    nthreads: threads,
+                    iters_per_chunk: chunk_iters,
+                    policy,
+                    poll_batch: poll,
+                },
+                observe: if events {
+                    Observe::with_events()
+                } else {
+                    Observe::default()
+                },
+                ..RunConfig::default()
             };
-            let obs = if events {
-                Observe::with_events()
-            } else {
-                Observe::default()
-            };
-            let stats = try_run_cascaded_observed(&k, &cfg, &Tolerance::default(), &obs)
+            let stats = try_run_governed(&k, &cfg)
                 .map_err(|e| ArgError::verification(format!("cascaded run failed: {e}")))?;
             let title = format!(
                 "real-thread cascade metrics of {wname}, loop {loop_idx} \
@@ -1824,6 +1828,15 @@ pub fn ckpt_run(args: &Args) -> Result<String, ArgError> {
     Ok(format!("ckpt-run complete: {} chunks\n", stats.chunks))
 }
 
+/// A fresh scratch directory for one `chaos --kill` invocation: the pid
+/// plus a process-wide counter, so concurrent invocations in one process
+/// (parallel tests) never share — and overwrite — checkpoints.
+fn default_kill_dir() -> PathBuf {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    std::env::temp_dir().join(format!("cascade-kill-{}-{n}", std::process::id()))
+}
+
 /// `cascade chaos --kill`: kill-restart recovery trials. Each trial forks
 /// this executable as a checkpointing child run, SIGKILLs it at a
 /// randomized point, resumes from whatever checkpoint survived, finishes
@@ -1867,7 +1880,7 @@ fn chaos_kill(args: &Args) -> Result<String, ArgError> {
     };
     let base_dir = match &kill_dir {
         Some(d) => PathBuf::from(d),
-        None => std::env::temp_dir().join(format!("cascade-kill-{}", std::process::id())),
+        None => default_kill_dir(),
     };
 
     let mut rng = seed ^ 0x0000_51C4_11ED_0009_u64; // 9 = SIGKILL
@@ -2738,4 +2751,14 @@ pub fn sweep(args: &Args) -> Result<String, ArgError> {
         ));
     }
     Ok(out)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn default_kill_dirs_are_unique_within_a_process() {
+        assert_ne!(default_kill_dir(), default_kill_dir());
+    }
 }

@@ -350,7 +350,7 @@ pub struct CascadeMetrics {
     /// counter, not a phase (gate spins also land in each worker's Spin
     /// phase).
     pub post_wait_stall: f64,
-    /// Arena scrub passes the supervisor ran (whole-memory checksums of
+    /// Arena scrub passes the runner ran (whole-memory checksums of
     /// bytes outside every chunk's write footprint, taken at quiescent
     /// points). Zero when `VerifyPolicy::Off` and for simulated runs. A
     /// side counter, not a phase.

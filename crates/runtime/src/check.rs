@@ -1446,8 +1446,9 @@ pub enum VStep {
     /// chunk's packet is outstanding — the window the protocol claims
     /// detection over).
     Flip,
-    /// The supervisor verifies the final chunk's packet after the last
-    /// handoff (post-join in the runner, quiescent by construction).
+    /// The final chunk's packet is verified after the last handoff (in
+    /// the runner, by the leader of the end-of-loop barrier, in its
+    /// quiescent window).
     FinalVerify,
 }
 
@@ -1749,7 +1750,7 @@ impl Model for VerifyModel {
                 s.data[chunk as usize] = VData::Flipped;
             }
             VStep::FinalVerify => {
-                // Post-join supervisor verification of the last packet;
+                // End-of-loop verification of the last packet;
                 // quiescent by construction.
                 s.run_verify();
             }

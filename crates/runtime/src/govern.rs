@@ -359,12 +359,13 @@ pub struct RunConfig {
 }
 
 impl RunConfig {
-    /// Validate the cross-field governance invariants. The runner's own
-    /// geometry checks still run inside `try_run_governed`; this catches
-    /// the silent misconfiguration they cannot see: a watchdog window
-    /// longer than the run deadline would never fire — every stall would
-    /// surface as the blunter `DeadlineExceeded` instead of a diagnosed
-    /// `Stalled{chunk}` — so it is refused with a typed diagnostic.
+    /// Validate the whole configuration: the runner geometry (at least
+    /// one thread, non-empty chunks, a positive poll batch) and the
+    /// cross-field governance invariants. Among the latter, a watchdog
+    /// window longer than the run deadline would never fire — every stall
+    /// would surface as the blunter `DeadlineExceeded` instead of a
+    /// diagnosed `Stalled{chunk}` — so it is refused with a typed
+    /// diagnostic. Every run entry point calls this first.
     pub fn try_validate(&self) -> Result<(), RunError> {
         if let (Some(watchdog), Some(deadline)) = (self.tolerance.watchdog, self.deadline) {
             if watchdog > deadline {
@@ -412,6 +413,17 @@ impl RunConfig {
                  undefined); use Sampled(1) for every chunk or Checksum for \
                  digest-only"
                     .into(),
+            ));
+        }
+        if self.runner.nthreads < 1 {
+            return Err(RunError::InvalidConfig("need at least one thread".into()));
+        }
+        if self.runner.iters_per_chunk < 1 {
+            return Err(RunError::InvalidConfig("chunks must be non-empty".into()));
+        }
+        if self.runner.poll_batch < 1 {
+            return Err(RunError::InvalidConfig(
+                "poll batch must be positive".into(),
             ));
         }
         Ok(())

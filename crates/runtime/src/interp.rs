@@ -40,7 +40,7 @@ use std::ops::Range;
 use cascade_analyze::{analyze_workload, AnalysisError, Footprint, LoopReport, WorkloadReport};
 use cascade_core::fnv64;
 use cascade_trace::diag::{DiagCode, Diagnostic, Severity};
-use cascade_trace::{Arena, ArrayId, LoopSpec, Mode, Pattern, Workload};
+use cascade_trace::{Arena, ArrayId, LoopSpec, Mode, Pattern, StreamRef, Workload};
 
 use crate::kernel::RealKernel;
 use crate::prefetch::prefetch_range;
@@ -258,6 +258,14 @@ impl Overlay {
     }
 }
 
+/// The cold path of [`SpecKernel::checked_target`], kept out of line so the
+/// hot interpreter loop carries only the compare.
+#[cold]
+#[inline(never)]
+fn index_out_of_bounds(e: u64, len: u64) -> ! {
+    panic!("indirect index {e} out of bounds for its target array (len {len})")
+}
+
 /// One loop of a [`SpecProgram`], as a [`RealKernel`].
 pub struct SpecKernel<'p> {
     prog: &'p SpecProgram,
@@ -278,15 +286,18 @@ impl<'p> SpecKernel<'p> {
 
     /// Resolve the element index of `r` at iteration `i`, reading indirect
     /// indices from the *arena* (real memory, like real generated code
-    /// would).
+    /// would). A loaded index is data, not layout, so it is bounds-checked
+    /// against `r`'s target array in every build: a corrupted index array
+    /// panics (a typed worker fault) instead of addressing memory outside
+    /// the arena.
     ///
     /// # Safety
     ///
     /// Index arrays are validated to never be written by this loop, so the
     /// raw read cannot race with the executor.
     #[inline]
-    unsafe fn elem_index(&self, pattern: &Pattern, i: u64) -> u64 {
-        match *pattern {
+    unsafe fn elem_index(&self, r: &StreamRef, i: u64) -> u64 {
+        match r.pattern {
             Pattern::Affine { base, stride } => (base + stride * i as i64) as u64,
             Pattern::Indirect {
                 index,
@@ -297,9 +308,20 @@ impl<'p> SpecKernel<'p> {
                 let addr = self.prog.workload.space.addr(index, pos);
                 // SAFETY: in-bounds (space layout) and never written by
                 // this loop (validated), so no data race.
-                unsafe { (self.prog.base().add(addr as usize) as *const u32).read() as u64 }
+                let e = unsafe { (self.prog.base().add(addr as usize) as *const u32).read() };
+                self.checked_target(r.array, e as u64)
             }
         }
+    }
+
+    /// `e` as an element of `array`; panics when it is out of bounds.
+    #[inline]
+    fn checked_target(&self, array: ArrayId, e: u64) -> u64 {
+        let len = self.prog.workload.space.array(array).len;
+        if e >= len {
+            index_out_of_bounds(e, len);
+        }
+        e
     }
 
     /// # Safety: in-bounds read of a location not concurrently written
@@ -341,7 +363,7 @@ impl<'p> SpecKernel<'p> {
         for r in &self.spec.refs {
             if r.mode.is_read_only() {
                 // SAFETY: loop-read-only array.
-                let v = unsafe { self.load_f64(r.array, self.elem_index(&r.pattern, i)) };
+                let v = unsafe { self.load_f64(r.array, self.elem_index(r, i)) };
                 acc = acc * 0.5 + v;
             }
         }
@@ -351,11 +373,11 @@ impl<'p> SpecKernel<'p> {
                 match r.mode {
                     Mode::Read => {}
                     Mode::Write => {
-                        let e = self.elem_index(&r.pattern, i);
+                        let e = self.elem_index(r, i);
                         self.store_f64(r.array, e, acc * 0.9 + 0.1);
                     }
                     Mode::Modify => {
-                        let e = self.elem_index(&r.pattern, i);
+                        let e = self.elem_index(r, i);
                         let old = self.load_f64(r.array, e);
                         self.store_f64(r.array, e, old * 0.25 + acc * 0.5 + 0.0625);
                     }
@@ -431,7 +453,7 @@ impl<'p> SpecKernel<'p> {
         for r in &self.spec.refs {
             if r.mode.is_read_only() {
                 // SAFETY: committed range, no concurrent writer.
-                let v = unsafe { self.ov_load_f64(ov, r.array, self.elem_index(&r.pattern, i)) };
+                let v = unsafe { self.ov_load_f64(ov, r.array, self.elem_index(r, i)) };
                 acc = acc * 0.5 + v;
             }
         }
@@ -441,11 +463,11 @@ impl<'p> SpecKernel<'p> {
                 match r.mode {
                     Mode::Read => {}
                     Mode::Write => {
-                        let e = self.elem_index(&r.pattern, i);
+                        let e = self.elem_index(r, i);
                         self.ov_store_f64(ov, r.array, e, acc * 0.9 + 0.1);
                     }
                     Mode::Modify => {
-                        let e = self.elem_index(&r.pattern, i);
+                        let e = self.elem_index(r, i);
                         let old = self.ov_load_f64(ov, r.array, e);
                         self.ov_store_f64(ov, r.array, e, old * 0.25 + acc * 0.5 + 0.0625);
                     }
@@ -464,7 +486,7 @@ impl<'p> SpecKernel<'p> {
         for r in &self.spec.refs {
             if r.mode.is_read_only() {
                 // SAFETY: committed range, no concurrent writer.
-                let v = unsafe { self.ov_load_u32(ov, r.array, self.elem_index(&r.pattern, i)) };
+                let v = unsafe { self.ov_load_u32(ov, r.array, self.elem_index(r, i)) };
                 acc = acc.wrapping_mul(2_654_435_761).wrapping_add(v);
             }
         }
@@ -474,11 +496,11 @@ impl<'p> SpecKernel<'p> {
                 match r.mode {
                     Mode::Read => {}
                     Mode::Write => {
-                        let e = self.elem_index(&r.pattern, i);
+                        let e = self.elem_index(r, i);
                         self.ov_store_u32(ov, r.array, e, acc ^ 0x9E37_79B9);
                     }
                     Mode::Modify => {
-                        let e = self.elem_index(&r.pattern, i);
+                        let e = self.elem_index(r, i);
                         let old = self.ov_load_u32(ov, r.array, e);
                         self.ov_store_u32(ov, r.array, e, old.wrapping_mul(3).wrapping_add(acc));
                     }
@@ -494,7 +516,7 @@ impl<'p> SpecKernel<'p> {
         for r in &self.spec.refs {
             if r.mode.is_read_only() {
                 // SAFETY: loop-read-only array.
-                let v = unsafe { self.load_u32(r.array, self.elem_index(&r.pattern, i)) };
+                let v = unsafe { self.load_u32(r.array, self.elem_index(r, i)) };
                 acc = acc.wrapping_mul(2_654_435_761).wrapping_add(v);
             }
         }
@@ -504,11 +526,11 @@ impl<'p> SpecKernel<'p> {
                 match r.mode {
                     Mode::Read => {}
                     Mode::Write => {
-                        let e = self.elem_index(&r.pattern, i);
+                        let e = self.elem_index(r, i);
                         self.store_u32(r.array, e, acc ^ 0x9E37_79B9);
                     }
                     Mode::Modify => {
-                        let e = self.elem_index(&r.pattern, i);
+                        let e = self.elem_index(r, i);
                         let old = self.load_u32(r.array, e);
                         self.store_u32(r.array, e, old.wrapping_mul(3).wrapping_add(acc));
                     }
@@ -553,7 +575,7 @@ impl<'p> RealKernel for SpecKernel<'p> {
             }
             // SAFETY: reading the index value only (never written by this
             // loop); the data target itself is merely hinted.
-            let e = unsafe { self.elem_index(&r.pattern, i) };
+            let e = unsafe { self.elem_index(r, i) };
             let addr = self.prog.workload.space.addr(r.array, e);
             prefetch_range(base.wrapping_add(addr as usize), r.bytes as usize);
         }
@@ -588,7 +610,7 @@ impl<'p> RealKernel for SpecKernel<'p> {
                     // iterations the horizon gate has already committed
                     // (HorizonSafe + runner-enforced `helper_horizon`).
                     unsafe {
-                        let e = self.elem_index(&r.pattern, i);
+                        let e = self.elem_index(r, i);
                         if r.bytes == 8 {
                             buf.extend_from_slice(&self.load_f64(r.array, e).to_le_bytes());
                         } else {
@@ -652,7 +674,7 @@ impl<'p> RealKernel for SpecKernel<'p> {
                 let e = match r.pattern {
                     Pattern::Affine { base, stride } => (base + stride * i as i64) as u64,
                     Pattern::Indirect { .. } => {
-                        let e = idx_cursor[idx_used];
+                        let e = self.checked_target(r.array, idx_cursor[idx_used]);
                         idx_used += 1;
                         e
                     }

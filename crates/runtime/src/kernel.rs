@@ -208,7 +208,8 @@ pub trait RealKernel: Sync {
     ///
     /// The caller must guarantee quiescence: no `execute` /
     /// `execute_packed` call may be concurrent with the scrub (the
-    /// runner scrubs from the supervisor, outside worker lifetimes).
+    /// runner scrubs before spawning its workers and from the leader of
+    /// an end-of-loop barrier, while every other worker is parked).
     unsafe fn scrub_digest(&self) -> Option<u64> {
         None
     }

@@ -17,24 +17,39 @@
 //! Release/Acquire edges between consecutive chunks.
 //!
 //! ```
-//! use cascade_rt::{run_cascaded, run_sequential, RtPolicy, RunnerConfig, SpecProgram};
+//! use cascade_rt::{
+//!     run_sequential, try_run_governed, RtPolicy, RunConfig, RunnerConfig, SpecProgram,
+//! };
 //! use cascade_synth::{Synth, Variant};
 //!
 //! let s = Synth::build(1 << 14, Variant::Dense, 7);
+//! let mut reference = SpecProgram::new(s.workload.clone(), s.arena.clone()).unwrap();
+//! run_sequential(&reference.kernel(0));
+//!
 //! let mut prog = SpecProgram::new(s.workload, s.arena).unwrap();
-//! let kernel = prog.kernel(0);
-//! let stats = run_cascaded(&kernel, &RunnerConfig {
-//!     nthreads: 2, iters_per_chunk: 1024, policy: RtPolicy::Restructure, poll_batch: 64,
-//! });
+//! let cfg = RunConfig {
+//!     runner: RunnerConfig {
+//!         nthreads: 2, iters_per_chunk: 1024, policy: RtPolicy::Restructure, poll_batch: 64,
+//!     },
+//!     ..RunConfig::default()
+//! };
+//! let stats = try_run_governed(&prog.kernel(0), &cfg).unwrap();
 //! assert_eq!(stats.chunks, 16);
+//! assert_eq!(prog.checksum(), reference.checksum());
 //! ```
+//!
+//! [`try_run_governed`] runs one loop and [`try_run_governed_sequence`] a
+//! loop sequence on one persistent worker pool; both are the same engine,
+//! since a single loop is a one-loop sequence. [`try_run_cascaded`] and
+//! the panicking [`run_cascaded`] are shorthands that set only the runner
+//! geometry and the fault tolerance.
 
 //! ## Fault tolerance
 //!
 //! The runtime also has a failure model (described in
 //! `docs/ROBUSTNESS.md`): bounded token waits with a progress watchdog,
 //! token poisoning with structured diagnostics, typed errors via
-//! [`try_run_cascaded`] / [`try_run_cascaded_sequence`], deterministic
+//! [`try_run_governed`] / [`try_run_governed_sequence`], deterministic
 //! fault injection ([`FaultyKernel`]), and a graceful sequential fallback
 //! that salvages a faulted run into a bitwise-correct result.
 //!
@@ -127,7 +142,7 @@ pub mod sched;
 pub mod token;
 
 pub use barrier::{BarrierOutcome, FtBarrier};
-pub use ckpt::{Checkpoint, CkptError, CkptMeta, CkptPolicy, CkptRun, CkptSink, CkptWriter};
+pub use ckpt::{Checkpoint, CkptError, CkptMeta, CkptPolicy, CkptSink, CkptWriter};
 pub use fault::{FaultKind, FaultPlan, FaultyKernel};
 pub use govern::{CancelKind, CancelState, CancelToken, MemBudget, RunConfig, VerifyPolicy};
 pub use health::{HealthConfig, HealthRegistry, StrikeVerdict};
@@ -136,10 +151,9 @@ pub use kernel::RealKernel;
 pub use metrics::{NsStats, Observe, PhaseEventNs};
 pub use prefetch::{prefetch_line, prefetch_range, PREFETCH_STRIDE};
 pub use runner::{
-    run_cascaded, run_cascaded_sequence, run_sequential, try_run_cascaded,
-    try_run_cascaded_observed, try_run_cascaded_sequence, try_run_cascaded_sequence_observed,
-    try_run_governed, try_run_governed_sequence, FaultEvent, RetryAbandon, RetryPolicy, RtPolicy,
-    RunError, RunStats, RunnerConfig, ThreadStats, Tolerance,
+    run_cascaded, run_sequential, try_run_cascaded, try_run_governed, try_run_governed_sequence,
+    FaultEvent, RetryAbandon, RetryPolicy, RtPolicy, RunError, RunStats, RunnerConfig, ThreadStats,
+    Tolerance,
 };
 pub use sched::{
     doacross_order, fission_specs, try_run_planned, PlannedStats, PlannedThread, SubLoopStats,

@@ -1,6 +1,11 @@
 //! The cascade runner: real threads rotating execution of one sequential
 //! loop, exactly as in Figure 1(b) of the paper.
 //!
+//! There is one engine, [`try_run_governed_sequence`]: a persistent pool
+//! runs a loop sequence, with the loops separated by a poisonable barrier
+//! (the application code between unparallelized loops). A single loop is
+//! a one-loop sequence ([`try_run_governed`]).
+//!
 //! Thread `t` owns chunks `t, t+T, t+2T, ...`. While waiting for the token
 //! it runs its helper (prefetch or pack) for its next chunk, polling the
 //! token every `poll_batch` iterations — the paper's jump-out-of-helper
@@ -10,9 +15,9 @@
 //!
 //! ## Fault tolerance
 //!
-//! The fallible entry points [`try_run_cascaded`] /
-//! [`try_run_cascaded_sequence`] accept a [`Tolerance`] and return a typed
-//! [`RunError`] instead of panicking (see `docs/ROBUSTNESS.md`):
+//! The entry points take a [`Tolerance`] (in [`RunConfig::tolerance`])
+//! and return a typed [`RunError`] instead of panicking (see
+//! `docs/ROBUSTNESS.md`):
 //!
 //! * every worker catches its own panics per chunk and poisons the token
 //!   with a [`PoisonCause::Panicked`] diagnostic (thread, chunk, message);
@@ -84,8 +89,9 @@
 //! hand-backs, journal/rollback ordering) is modeled and exhaustively
 //! explored in [`crate::check`].
 //!
-//! The original panicking entry points remain as thin shims over the
-//! fallible ones with a default (non-salvaging) [`Tolerance`].
+//! [`try_run_cascaded`] is [`try_run_governed`] with only the runner
+//! geometry and the tolerance set, and [`run_cascaded`] is a shim over it
+//! that panics with the [`RunError`] display instead of returning it.
 
 use std::collections::HashMap;
 use std::ops::Range;
@@ -99,13 +105,11 @@ use cascade_core::{
 };
 
 use crate::barrier::{BarrierOutcome, FtBarrier};
-use crate::ckpt::{CkptPolicy, CkptRun};
-use crate::govern::{
-    CancelKind, CancelState, CancelToken, Governor, MemBudget, RunConfig, VerifyPolicy,
-};
+use crate::ckpt::CkptPolicy;
+use crate::govern::{CancelKind, CancelState, CancelToken, Governor, RunConfig};
 use crate::health::{HealthConfig, HealthRegistry, StrikeVerdict};
 use crate::kernel::RealKernel;
-use crate::metrics::{NsStats, Observe, PhaseEventNs, PhaseRecorder};
+use crate::metrics::{NsStats, PhaseEventNs, PhaseRecorder};
 use crate::token::{lock_recover, PoisonCause, Token, TokenView, EXEC_BIT, POISONED};
 
 /// Helper policy of the real-thread runtime.
@@ -297,9 +301,10 @@ pub enum RunError {
         /// Iterations committed before the run drained.
         committed_iters: u64,
     },
-    /// A metered allocation would have exceeded the run's [`MemBudget`];
-    /// the run was cancelled instead of allocating unboundedly. Same
-    /// clean-state guarantee as [`RunError::Cancelled`].
+    /// A metered allocation would have exceeded the run's
+    /// [`MemBudget`](crate::govern::MemBudget); the run was cancelled
+    /// instead of allocating unboundedly. Same clean-state guarantee as
+    /// [`RunError::Cancelled`].
     BudgetExceeded {
         /// Bytes the refused reservation asked for.
         needed: u64,
@@ -618,15 +623,17 @@ pub struct ThreadStats {
     /// `helper + spin + exec + retry + other == wall` is untouched.
     pub verify_ns: u128,
     /// Timestamped phase events this worker *dropped* after its event
-    /// ring reached [`Observe::max_events`] (0 when the ring never
-    /// filled, or when events are off).
+    /// ring reached
+    /// [`Observe::max_events`](crate::metrics::Observe::max_events) (0
+    /// when the ring never filled, or when events are off).
     pub events_dropped: u64,
     /// Receive-side handoff latency: previous executor's release →
     /// this worker's winning claim.
     pub takeover: NsStats,
     /// Per-chunk execution-phase durations (count == `chunks`).
     pub chunk_exec: NsStats,
-    /// Timestamped phase intervals (empty unless [`Observe::events`]).
+    /// Timestamped phase intervals (empty unless
+    /// [`Observe::events`](crate::metrics::Observe::events)).
     pub events: Vec<PhaseEventNs>,
 }
 
@@ -658,10 +665,11 @@ pub struct RunStats {
     /// worker acting on it. Zero for a run that was never cancelled (a
     /// too-late cancel can still stamp this on a clean run).
     pub cancel_latency_ns: u64,
-    /// Peak bytes reserved from the run's [`MemBudget`] (journal and
-    /// pack arenas). Zero when nothing was metered.
+    /// Peak bytes reserved from the run's
+    /// [`MemBudget`](crate::govern::MemBudget) (journal and pack arenas).
+    /// Zero when nothing was metered.
     pub budget_high_water: u64,
-    /// Arena scrubs performed by the supervisor (baseline + compare):
+    /// Arena scrubs performed by the runner (baseline + compare):
     /// digests over the bytes *outside* the loop's whole write
     /// footprint, bracketing out-of-footprint corruption. Zero unless
     /// verification is armed and the kernel can bound its footprint.
@@ -762,21 +770,6 @@ pub fn run_sequential<K: RealKernel>(kernel: &K) -> Duration {
     start.elapsed()
 }
 
-fn validate(cfg: &RunnerConfig) -> Result<(), RunError> {
-    if cfg.nthreads < 1 {
-        return Err(RunError::InvalidConfig("need at least one thread".into()));
-    }
-    if cfg.iters_per_chunk < 1 {
-        return Err(RunError::InvalidConfig("chunks must be non-empty".into()));
-    }
-    if cfg.poll_batch < 1 {
-        return Err(RunError::InvalidConfig(
-            "poll batch must be positive".into(),
-        ));
-    }
-    Ok(())
-}
-
 fn run_error_from(cause: &PoisonCause) -> RunError {
     match cause {
         PoisonCause::Panicked { thread, chunk, .. } => RunError::WorkerPanicked {
@@ -813,42 +806,13 @@ fn run_error_from(cause: &PoisonCause) -> RunError {
     }
 }
 
-/// The governance context threaded through a run's workers: the shared
-/// cancel flag and the memory budget. The ungoverned entry points use
-/// [`Govern::none`] — a fresh never-cancelled token and an unlimited
-/// budget — so every check site costs one never-true atomic load.
-pub(crate) struct Govern {
-    pub(crate) cancel: CancelToken,
-    pub(crate) budget: MemBudget,
-    /// Durable-checkpoint policy and sink; `None` (the ungoverned and
-    /// `CkptPolicy::Off` cases) costs one `Option` check per chunk
-    /// commit, so the fault-free overhead guard is unaffected.
-    pub(crate) ckpt: Option<CkptRun>,
-    /// Online-verification policy. The default `Off` costs one
-    /// never-true branch per chunk commit and per claim, so the
-    /// fault-free overhead guard is unaffected.
-    pub(crate) verify: VerifyPolicy,
-}
-
-impl Govern {
-    fn none() -> Self {
-        Govern {
-            cancel: CancelToken::new(),
-            budget: MemBudget::unlimited(),
-            ckpt: None,
-            verify: VerifyPolicy::Off,
-        }
-    }
-}
-
 /// Drain the run leader-ward with a `Cancelled` poison cause: called by
 /// the first worker (or waiter) that acts on the cancel flag. Stamps the
 /// cancel latency; the poison itself is first-cause-wins, so a cancel
 /// racing a real fault never masks it.
-fn poison_cancelled(run: &FtRun, gov: &Govern) {
-    gov.cancel.note_observed();
-    let reason = gov
-        .cancel
+fn poison_cancelled(run: &FtRun, cancel: &CancelToken) {
+    cancel.note_observed();
+    let reason = cancel
         .state()
         .map(|s| s.reason)
         .unwrap_or_else(|| "cancelled".to_string());
@@ -858,9 +822,10 @@ fn poison_cancelled(run: &FtRun, gov: &Govern) {
 /// Map a cancelled run to its typed error, carrying the exact sequential
 /// resume point. The kind comes from the run's own [`CancelToken`]; a
 /// token poisoned `Cancelled` from outside (sequence propagation carries
-/// the cause string) falls back to [`RunError::Cancelled`].
-fn cancel_error(gov: &Govern, cause: &PoisonCause, committed_iters: u64) -> RunError {
-    match gov.cancel.state() {
+/// the cause string) has no cancel state and falls back to
+/// [`RunError::Cancelled`] with `fallback` as the reason.
+pub(crate) fn cancel_error(cancel: &CancelToken, fallback: &str, committed_iters: u64) -> RunError {
+    match cancel.state() {
         Some(CancelState {
             kind: CancelKind::Deadline { after },
             ..
@@ -883,16 +848,10 @@ fn cancel_error(gov: &Govern, cause: &PoisonCause, committed_iters: u64) -> RunE
             reason,
             committed_iters,
         },
-        None => {
-            let reason = match cause {
-                PoisonCause::Cancelled { reason } => reason.clone(),
-                _ => "cancelled".to_string(),
-            };
-            RunError::Cancelled {
-                reason,
-                committed_iters,
-            }
-        }
+        None => RunError::Cancelled {
+            reason: fallback.to_string(),
+            committed_iters,
+        },
     }
 }
 
@@ -1124,7 +1083,7 @@ struct FtRun {
     /// The full verification packet of the most recently committed chunk
     /// (digest + pre-image journal for replay). Published by the
     /// executor before its `try_advance`; taken by the downstream
-    /// claimant (or, for the final chunk, the supervisor after join).
+    /// claimant (or, for the final chunk, the end-of-loop leader).
     verify_slot: Mutex<Option<VerifyPacket>>,
     /// Arena scrubs performed against this run's kernel (baseline +
     /// compare); surfaced as [`RunStats::scrubs`].
@@ -1192,102 +1151,120 @@ fn tally(faults: &[FaultEvent]) -> (u64, u64) {
     (retries, quarantined)
 }
 
-/// Execute `kernel` under cascaded execution with `cfg` (panicking shim;
-/// prefer [`try_run_cascaded`]).
+/// Execute `kernel` under cascaded execution with `cfg` (panicking shim
+/// over [`try_run_cascaded`]).
 ///
 /// # Panics
 ///
 /// Panics on an invalid configuration, an empty kernel, or a worker fault
 /// — with the [`RunError`] display as the message.
 pub fn run_cascaded<K: RealKernel>(kernel: &K, cfg: &RunnerConfig) -> RunStats {
-    match try_run_cascaded(kernel, cfg, &Tolerance::default()) {
-        Ok(stats) => stats,
-        Err(e) => panic!("{e}"),
-    }
+    try_run_cascaded(kernel, cfg, &Tolerance::default()).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Execute `kernel` under cascaded execution with `cfg`, handling faults
-/// per `tol` and returning a typed [`RunError`] instead of panicking.
+/// per `tol` and returning a typed [`RunError`] instead of panicking: a
+/// [`try_run_governed`] run with every other [`RunConfig`] field at its
+/// default.
 pub fn try_run_cascaded<K: RealKernel>(
     kernel: &K,
     cfg: &RunnerConfig,
     tol: &Tolerance,
 ) -> Result<RunStats, RunError> {
-    try_run_cascaded_observed(kernel, cfg, tol, &Observe::default())
-}
-
-/// [`try_run_cascaded`] with explicit observability options (`obs`
-/// enables the timestamped event ring behind `RunStats::metrics`).
-pub fn try_run_cascaded_observed<K: RealKernel>(
-    kernel: &K,
-    cfg: &RunnerConfig,
-    tol: &Tolerance,
-    obs: &Observe,
-) -> Result<RunStats, RunError> {
-    run_cascaded_inner(kernel, cfg, tol, obs, &Govern::none())
+    try_run_governed(
+        kernel,
+        &RunConfig {
+            runner: cfg.clone(),
+            tolerance: tol.clone(),
+            ..RunConfig::default()
+        },
+    )
 }
 
 /// Execute `kernel` under full run governance ([`RunConfig`]): cooperative
 /// cancellation via `cfg.cancel`, an optional whole-run deadline that arms
-/// a governor thread, and a memory budget metering journal and pack
-/// arenas. A governed run that is cancelled drains with bitwise-clean
-/// state and returns [`RunError::Cancelled`] /
-/// [`RunError::DeadlineExceeded`] / [`RunError::BudgetExceeded`] carrying
-/// `committed_iters` — resuming `kernel` sequentially from that iteration
-/// reproduces the uncancelled result bitwise.
+/// a governor thread, a memory budget metering journal and pack arenas,
+/// durable checkpoints, and online verification. A governed run that is
+/// cancelled drains with bitwise-clean state and returns
+/// [`RunError::Cancelled`] / [`RunError::DeadlineExceeded`] /
+/// [`RunError::BudgetExceeded`] carrying `committed_iters` — resuming
+/// `kernel` sequentially from that iteration reproduces the uncancelled
+/// result bitwise. A single loop is a one-loop sequence: this is
+/// [`try_run_governed_sequence`] over `[kernel]`.
 pub fn try_run_governed<K: RealKernel>(kernel: &K, cfg: &RunConfig) -> Result<RunStats, RunError> {
-    cfg.try_validate()?;
-    let gov = Govern {
-        cancel: cfg.cancel.clone(),
-        budget: cfg.budget.clone(),
-        ckpt: cfg.ckpt_sink.clone().map(|sink| CkptRun {
-            policy: cfg.ckpt,
-            sink,
-        }),
-        verify: cfg.verify,
-    };
-    let _governor = cfg.deadline.map(|d| Governor::arm(&cfg.cancel, d));
-    run_cascaded_inner(kernel, &cfg.runner, &cfg.tolerance, &cfg.observe, &gov)
+    try_run_governed_sequence(std::slice::from_ref(kernel), cfg)
+        .map(|mut stats| stats.pop().expect("one RunStats per loop"))
 }
 
-fn run_cascaded_inner<K: RealKernel>(
-    kernel: &K,
-    cfg: &RunnerConfig,
-    tol: &Tolerance,
-    obs: &Observe,
-    gov: &Govern,
-) -> Result<RunStats, RunError> {
-    validate(cfg)?;
-    let iters = kernel.iters();
-    if iters == 0 {
+/// Execute a loop sequence (e.g. PARMVR's fifteen loops) under cascaded
+/// execution with one persistent, governed pool of worker threads: one
+/// cancel token, one deadline, one budget across every loop. Loops are
+/// separated by a poisonable barrier ([`FtBarrier`]) — the analogue of
+/// the application code between unparallelized loops — which both orders
+/// the loops (helpers for loop `i+1` must not read operands loop `i` is
+/// still writing) and provides the happens-before edge between them. A
+/// fault in loop `l` poisons the tokens of loops `l..` and the barrier,
+/// so the pool drains promptly; with salvage enabled the calling thread
+/// then finishes loop `l` from its last completed chunk and runs every
+/// later loop sequentially. Returns one [`RunStats`] per kernel, in
+/// order.
+///
+/// The `committed_iters` of a cancellation or corruption error is
+/// **global**: the summed iteration counts of every fully completed loop
+/// plus the committed prefix of the loop the run stopped in, so a caller
+/// can replay the remainder of the sequence from exactly that point.
+/// Durable checkpoints describe one loop's committed prefix, so a
+/// checkpointed sequence of more than one loop is refused
+/// ([`RunError::InvalidConfig`]).
+pub fn try_run_governed_sequence<K: RealKernel>(
+    kernels: &[K],
+    cfg: &RunConfig,
+) -> Result<Vec<RunStats>, RunError> {
+    cfg.try_validate()?;
+    if kernels.is_empty() {
+        return Err(RunError::InvalidConfig("empty kernel sequence".into()));
+    }
+    if kernels.iter().any(|k| k.iters() == 0) {
         return Err(RunError::InvalidConfig("empty kernel".into()));
     }
-    let plan = ChunkPlan::by_iterations(iters, cfg.iters_per_chunk);
-    let m = plan.num_chunks();
-    let run = FtRun::new(cfg.nthreads);
-    let rec = Recovery::new(cfg.nthreads, tol);
-
-    // Arena-scrub baseline: a digest over the bytes *outside* the loop's
-    // whole write footprint, taken before any worker spawns (quiescent).
-    // Drift against the post-join scrub brackets an out-of-footprint
-    // corruption no chunk-level verification can attribute.
-    let scrub_base = if gov.verify.armed() {
-        // SAFETY: no worker spawned yet; trivially quiescent.
-        let d = unsafe { kernel.scrub_digest() };
-        if d.is_some() {
-            run.scrubs.fetch_add(1, Ordering::Relaxed);
-        }
-        d
-    } else {
-        None
+    if cfg.ckpt != CkptPolicy::Off && kernels.len() > 1 {
+        // Silently checkpointing only part of a sequence would hand back a
+        // resume point that skips later loops. Refuse until sequence
+        // manifests exist rather than mislead.
+        return Err(RunError::InvalidConfig(
+            "checkpointing covers a single governed loop; sequences are not \
+             resumable yet — run loops individually, each with its own \
+             checkpoint directory"
+                .into(),
+        ));
+    }
+    let _governor = cfg.deadline.map(|d| Governor::arm(&cfg.cancel, d));
+    let nthreads = cfg.runner.nthreads;
+    let seq = Sequence {
+        kernels,
+        cfg,
+        plans: kernels
+            .iter()
+            .map(|k| ChunkPlan::by_iterations(k.iters(), cfg.runner.iters_per_chunk))
+            .collect(),
+        runs: kernels.iter().map(|_| FtRun::new(nthreads)).collect(),
+        rec: Recovery::new(nthreads, &cfg.tolerance),
+        barrier: FtBarrier::new(nthreads),
+        loop_starts: kernels.iter().map(|_| Mutex::new(None)).collect(),
+        loop_ends: kernels.iter().map(|_| Mutex::new(None)).collect(),
+        scrub_bases: kernels.iter().map(|_| Mutex::new(None)).collect(),
     };
-
-    let start = Instant::now();
-    let threads: Vec<ThreadStats> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..cfg.nthreads)
+    if cfg.verify.armed() {
+        // No worker spawned yet: trivially quiescent.
+        seq.scrub_baseline(0);
+    }
+    // per_thread[t][l] = stats of thread t on loop l (may stop short when
+    // a fault drained the pool).
+    let per_thread: Vec<Vec<ThreadStats>> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..nthreads as u64)
             .map(|t| {
-                let (plan, run, rec) = (&plan, &run, &rec);
-                s.spawn(move || ft_worker(kernel, cfg, tol, obs, gov, plan, run, rec, t as u64))
+                let seq = &seq;
+                s.spawn(move || seq.worker(t))
             })
             .collect();
         // Workers catch their own panics and report through the token, so
@@ -1297,548 +1274,324 @@ fn run_cascaded_inner<K: RealKernel>(
             .map(|h| h.join().unwrap_or_default())
             .collect()
     });
-    let elapsed = start.elapsed();
+    seq.finish(per_thread)
+}
 
-    // --- final-chunk verification + arena scrub (supervisor side) ---
-    // The last chunk has no downstream claimant; every worker has
-    // joined, so the supervisor holds both exclusivity and the
-    // happens-before edge and verifies it here — still before the run
-    // returns, so detection stays online.
-    if gov.verify.armed() && run.token.poison_cause().is_none() {
+/// Shared state of one run of the cascade engine: a loop sequence on one
+/// persistent worker pool.
+struct Sequence<'a, K> {
+    kernels: &'a [K],
+    cfg: &'a RunConfig,
+    plans: Vec<ChunkPlan>,
+    runs: Vec<FtRun>,
+    /// One recovery state for the whole sequence: a worker quarantined in
+    /// loop l stays out of every later loop's roster, and the retry
+    /// budget is shared.
+    rec: Recovery,
+    barrier: FtBarrier,
+    loop_starts: Vec<Mutex<Option<Instant>>>,
+    loop_ends: Vec<Mutex<Option<Instant>>>,
+    /// Arena-scrub baselines, one per loop (see [`Sequence::scrub_baseline`]).
+    scrub_bases: Vec<Mutex<Option<u64>>>,
+}
+
+impl<K: RealKernel> Sequence<'_, K> {
+    /// Worker `t`'s pass over the sequence: one [`ft_worker`] per loop,
+    /// fenced by the start and end barriers.
+    fn worker(&self, t: u64) -> Vec<ThreadStats> {
+        let mut all = Vec::with_capacity(self.kernels.len());
+        for (l, kernel) in self.kernels.iter().enumerate() {
+            match self.barrier.wait() {
+                BarrierOutcome::Poisoned => break,
+                out if out.is_leader() => {
+                    *lock_recover(&self.loop_starts[l]) = Some(Instant::now());
+                }
+                _ => {}
+            }
+            // A quarantined worker executes nothing (ft_worker drains
+            // immediately) but keeps pacing the barriers, so the surviving
+            // cascade stays in lockstep.
+            all.push(ft_worker(
+                kernel,
+                self.cfg,
+                &self.plans[l],
+                &self.runs[l],
+                &self.rec,
+                t,
+            ));
+            if self.runs[l].token.poison_cause().is_some() {
+                self.drain_from(l);
+                break;
+            }
+            match self.barrier.wait() {
+                BarrierOutcome::Poisoned => break,
+                out if out.is_leader() => {
+                    *lock_recover(&self.loop_ends[l]) = Some(Instant::now());
+                    if self.cfg.verify.armed() && !self.close_verified_loop(l) {
+                        self.drain_from(l);
+                        break;
+                    }
+                }
+                _ => {}
+            }
+        }
+        all
+    }
+
+    /// Propagate loop `l`'s fault: no worker may block on a loop that will
+    /// never start, and the poisoned barrier wakes everyone already
+    /// waiting.
+    fn drain_from(&self, l: usize) {
+        if let Some(cause) = self.runs[l].token.poison_cause() {
+            for later in &self.runs[l + 1..] {
+                later.token.poison_with(cause.clone());
+            }
+        }
+        self.barrier.poison();
+    }
+
+    /// The end-of-loop leader window under an armed
+    /// [`VerifyPolicy`](crate::govern::VerifyPolicy). Every other worker
+    /// is parked at the next loop's start barrier (or exiting after the
+    /// last loop), so the leader has quiescence on the whole arena. It
+    /// verifies the loop's final chunk (which has no downstream
+    /// claimant), compares the arena scrub against the loop's baseline,
+    /// installs the deferred final checkpoint, and takes the next loop's
+    /// scrub baseline. Returns `false` when the loop failed verification;
+    /// its token is then poisoned.
+    fn close_verified_loop(&self, l: usize) -> bool {
+        let (kernel, run, plan) = (&self.kernels[l], &self.runs[l], &self.plans[l]);
+        let m = plan.num_chunks();
         if let Some(p) = lock_recover(&run.verify_slot).take() {
-            if p.chunk + 1 == m {
-                let _ = verify_committed(kernel, &run, &rec, gov, tol, p.executor, p);
+            if p.chunk + 1 == m
+                && verify_committed(kernel, run, &self.rec, self.cfg, p.executor, p)
+                    == VerifyVerdict::Failed
+            {
+                return false;
             }
         }
-        if run.token.poison_cause().is_none() {
-            if let Some(base) = scrub_base {
-                // SAFETY: every worker joined; quiescent.
-                if let Some(now_d) = unsafe { kernel.scrub_digest() } {
-                    run.scrubs.fetch_add(1, Ordering::Relaxed);
-                    if now_d != base {
-                        run.record(FaultEvent::CorruptionDetected {
-                            chunk: u64::MAX,
-                            expected: base,
-                            found: now_d,
-                            repaired: false,
-                        });
-                        run.token.poison_with(PoisonCause::Corrupted {
-                            thread: None,
-                            chunk: None,
-                            resume_at: iters,
-                        });
-                    }
+        let base = *lock_recover(&self.scrub_bases[l]);
+        if let Some(base) = base {
+            // SAFETY: quiescent (see above).
+            if let Some(now_d) = unsafe { kernel.scrub_digest() } {
+                run.scrubs.fetch_add(1, Ordering::Relaxed);
+                if now_d != base {
+                    run.record(FaultEvent::CorruptionDetected {
+                        chunk: u64::MAX,
+                        expected: base,
+                        found: now_d,
+                        repaired: false,
+                    });
+                    run.token.poison_with(PoisonCause::Corrupted {
+                        thread: None,
+                        chunk: None,
+                        resume_at: kernel.iters(),
+                    });
+                    return false;
                 }
             }
         }
-        // Deferred durable checkpoint, final installment: the whole run
-        // is now verified (and scrubbed), so the complete prefix may
+        // Deferred durable checkpoint, final installment: the whole loop
+        // is now verified and scrubbed, so the complete prefix may
         // persist. Workers only published through their own claims, which
-        // stop one chunk short of the end.
-        if run.token.poison_cause().is_none() {
-            if let Some(ck) = &gov.ckpt {
-                let _ = catch_unwind(AssertUnwindSafe(|| {
-                    ck.sink.on_commit(
-                        ck.policy,
-                        m,
-                        iters,
-                        |c| plan.range(c).start,
-                        // SAFETY: every worker joined; quiescent, and
-                        // capture only reads.
-                        |r, buf| unsafe { kernel.journal_capture(r, buf) },
-                    )
-                }));
-            }
+        // stop one chunk short of the end. Only a one-loop sequence
+        // carries a sink (validated).
+        if let Some(sink) = &self.cfg.ckpt_sink {
+            let _ = catch_unwind(AssertUnwindSafe(|| {
+                sink.on_commit(
+                    self.cfg.ckpt,
+                    m,
+                    kernel.iters(),
+                    |c| plan.range(c).start,
+                    // SAFETY: quiescent, and capture only reads.
+                    |r, buf| unsafe { kernel.journal_capture(r, buf) },
+                )
+            }));
         }
-    }
-
-    let mut faults = run.take_faults();
-    // First chunk not yet committed → its first iteration is the exact
-    // sequential resume point (completion is in token order).
-    let committed_at = |done: u64| {
-        if done >= m {
-            iters
-        } else {
-            plan.range(done).start
+        if l + 1 < self.kernels.len() {
+            // Still quiescent: every earlier loop's writes are in, the
+            // next loop's have not begun.
+            self.scrub_baseline(l + 1);
         }
-    };
-
-    let Some(cause) = run.token.poison_cause() else {
-        debug_assert_eq!(
-            run.token.current(),
-            m,
-            "token must end one past the last chunk"
-        );
-        let (retries, quarantined) = tally(&faults);
-        return Ok(RunStats {
-            elapsed,
-            chunks: m,
-            iters,
-            threads,
-            degraded: false,
-            faults,
-            retries,
-            quarantined,
-            cancel_latency_ns: gov.cancel.latency().map_or(0, |d| d.as_nanos() as u64),
-            budget_high_water: gov.budget.high_water(),
-            scrubs: run.scrubs.load(Ordering::Relaxed),
-        });
-    };
-
-    // --- cancelled path: drained clean, never salvaged ---
-    if matches!(cause, PoisonCause::Cancelled { .. }) {
-        if run.salvage_unsound.load(Ordering::Acquire) {
-            // The in-flight chunk tore while the run drained: the resume
-            // guarantee is broken, report the tear instead.
-            return Err(torn_fallback(&faults));
-        }
-        let done = run.completed.load(Ordering::Acquire);
-        return Err(cancel_error(gov, &cause, committed_at(done)));
+        true
     }
 
-    // --- degraded path: a worker panicked or the cascade stalled ---
-    let err = run_error_from(&cause);
-    if matches!(cause, PoisonCause::Corrupted { .. }) {
-        // Corruption is never salvaged: the chunk was rolled back to its
-        // pre-image (or the drift lies outside every footprint), and the
-        // typed error already carries the exact clean resume point —
-        // re-executing from `completed` could run on top of the
-        // rollback and double-apply writes.
-        return Err(err);
-    }
-    // `salvage_unsound` is only ever set for a *torn* chunk: interrupted
-    // mid-body with neither a fail-stop promise nor a rolled-back undo
-    // journal. Journaled chunks were restored bitwise by their faulting
-    // worker before it drained, so salvage re-executes pristine state.
-    if !tol.salvage || run.salvage_unsound.load(Ordering::Acquire) {
-        return Err(err);
-    }
-    let mut done = run.completed.load(Ordering::Acquire);
-    if done < m {
-        let salvage_from = done;
-        let resume = plan.range(salvage_from).start;
-        // Chunk at a time so a cancellation arriving mid-salvage still
-        // stops at an exact chunk boundary with an accurate resume point.
-        while done < m {
-            if gov.cancel.is_cancelled() {
-                gov.cancel.note_observed();
-                return Err(cancel_error(gov, &cause, committed_at(done)));
-            }
-            let r = plan.range(done);
-            // SAFETY: every worker has joined, so this thread has
-            // exclusive access and all completed chunks' writes
-            // happen-before it.
-            let salvage = catch_unwind(AssertUnwindSafe(|| unsafe { kernel.execute(r) }));
-            if salvage.is_err() {
-                // The kernel fails even sequentially: report the original
-                // fault.
-                return Err(err);
-            }
-            done += 1;
-        }
-        faults.push(FaultEvent::Salvaged {
-            from_chunk: salvage_from,
-            iters: iters - resume,
-        });
-    }
-    let (retries, quarantined) = tally(&faults);
-    Ok(RunStats {
-        elapsed: start.elapsed(),
-        chunks: m,
-        iters,
-        threads,
-        degraded: true,
-        faults,
-        retries,
-        quarantined,
-        cancel_latency_ns: gov.cancel.latency().map_or(0, |d| d.as_nanos() as u64),
-        budget_high_water: gov.budget.high_water(),
-        scrubs: run.scrubs.load(Ordering::Relaxed),
-    })
-}
-
-/// Execute a whole loop *sequence* (e.g. PARMVR's fifteen loops) under
-/// cascaded execution with one persistent pool of worker threads
-/// (panicking shim; prefer [`try_run_cascaded_sequence`]).
-///
-/// # Panics
-///
-/// Panics on an invalid configuration, an empty kernel sequence, or a
-/// worker fault — with the [`RunError`] display as the message.
-pub fn run_cascaded_sequence<K: RealKernel>(kernels: &[K], cfg: &RunnerConfig) -> Vec<RunStats> {
-    match try_run_cascaded_sequence(kernels, cfg, &Tolerance::default()) {
-        Ok(stats) => stats,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Execute a loop sequence under cascaded execution with one persistent
-/// pool of worker threads, handling faults per `tol`. Loops are separated
-/// by a poisonable barrier ([`FtBarrier`]) — the analogue of the
-/// application code between unparallelized loops — which both orders the
-/// loops (helpers for loop `i+1` must not read operands loop `i` is still
-/// writing) and provides the happens-before edge between them. A fault in
-/// loop `l` poisons the tokens of loops `l..` and the barrier, so the pool
-/// drains promptly; with salvage enabled the calling thread then finishes
-/// loop `l` from its last completed chunk and runs every later loop
-/// sequentially. Returns one [`RunStats`] per kernel, in order.
-pub fn try_run_cascaded_sequence<K: RealKernel>(
-    kernels: &[K],
-    cfg: &RunnerConfig,
-    tol: &Tolerance,
-) -> Result<Vec<RunStats>, RunError> {
-    try_run_cascaded_sequence_observed(kernels, cfg, tol, &Observe::default())
-}
-
-/// [`try_run_cascaded_sequence`] with explicit observability options.
-pub fn try_run_cascaded_sequence_observed<K: RealKernel>(
-    kernels: &[K],
-    cfg: &RunnerConfig,
-    tol: &Tolerance,
-    obs: &Observe,
-) -> Result<Vec<RunStats>, RunError> {
-    run_cascaded_sequence_inner(kernels, cfg, tol, obs, &Govern::none())
-}
-
-/// [`try_run_governed`] for a whole loop sequence: one governed pool, one
-/// cancel token, one deadline, one budget across every loop. The
-/// `committed_iters` of a cancellation error is **global**: the summed
-/// iteration counts of every fully completed loop plus the committed
-/// prefix of the loop the cancel landed in, so a caller can replay the
-/// remainder of the sequence from exactly that point.
-pub fn try_run_governed_sequence<K: RealKernel>(
-    kernels: &[K],
-    cfg: &RunConfig,
-) -> Result<Vec<RunStats>, RunError> {
-    cfg.try_validate()?;
-    if cfg.ckpt != CkptPolicy::Off {
-        // A checkpoint manifest describes exactly one loop's committed
-        // prefix; silently checkpointing only part of a sequence would
-        // hand back a resume point that skips later loops. Refuse until
-        // sequence manifests exist rather than mislead.
-        return Err(RunError::InvalidConfig(
-            "checkpointing covers a single governed loop; sequences are not \
-             resumable yet — run loops individually, each with its own \
-             checkpoint directory"
-                .into(),
-        ));
-    }
-    let gov = Govern {
-        cancel: cfg.cancel.clone(),
-        budget: cfg.budget.clone(),
-        ckpt: None,
-        verify: cfg.verify,
-    };
-    let _governor = cfg.deadline.map(|d| Governor::arm(&cfg.cancel, d));
-    run_cascaded_sequence_inner(kernels, &cfg.runner, &cfg.tolerance, &cfg.observe, &gov)
-}
-
-fn run_cascaded_sequence_inner<K: RealKernel>(
-    kernels: &[K],
-    cfg: &RunnerConfig,
-    tol: &Tolerance,
-    obs: &Observe,
-    gov: &Govern,
-) -> Result<Vec<RunStats>, RunError> {
-    validate(cfg)?;
-    if kernels.is_empty() {
-        return Err(RunError::InvalidConfig("empty kernel sequence".into()));
-    }
-    for k in kernels {
-        if k.iters() == 0 {
-            return Err(RunError::InvalidConfig("empty kernel".into()));
-        }
-    }
-    let plans: Vec<ChunkPlan> = kernels
-        .iter()
-        .map(|k| ChunkPlan::by_iterations(k.iters(), cfg.iters_per_chunk))
-        .collect();
-    let runs: Vec<FtRun> = kernels.iter().map(|_| FtRun::new(cfg.nthreads)).collect();
-    // One recovery state for the whole sequence: a worker quarantined in
-    // loop l stays out of every later loop's roster, and the retry budget
-    // is shared.
-    let rec = Recovery::new(cfg.nthreads, tol);
-    let barrier = FtBarrier::new(cfg.nthreads);
-    let loop_starts: Vec<Mutex<Option<Instant>>> =
-        kernels.iter().map(|_| Mutex::new(None)).collect();
-    let loop_ends: Vec<Mutex<Option<Instant>>> = kernels.iter().map(|_| Mutex::new(None)).collect();
-
-    // Arena-scrub baselines, one per loop. Loop `l`'s baseline digests
-    // the bytes outside *loop l's* write footprints — bytes other loops
-    // of the sequence legitimately mutate — so it cannot be taken until
-    // every earlier loop has finished: loop 0's before any worker
-    // spawns, each later loop's in the end-of-loop leader's quiescent
-    // window, right after the previous loop's scrub comparison.
-    let scrub_bases: Vec<Mutex<Option<u64>>> = kernels.iter().map(|_| Mutex::new(None)).collect();
-    if gov.verify.armed() {
-        // SAFETY: no worker spawned yet; trivially quiescent.
-        let d = unsafe { kernels[0].scrub_digest() };
+    /// Take loop `l`'s arena-scrub baseline: a digest over the bytes
+    /// outside loop `l`'s write footprints. Drift against the end-of-loop
+    /// scrub brackets an out-of-footprint corruption no chunk-level
+    /// verification can attribute. Other loops of the sequence
+    /// legitimately mutate those bytes, so the baseline waits until every
+    /// earlier loop has finished: loop 0's is taken before any worker
+    /// spawns, each later loop's in the previous loop's leader window.
+    /// The caller must hold quiescence on the arena.
+    fn scrub_baseline(&self, l: usize) {
+        // SAFETY: the caller holds quiescence.
+        let d = unsafe { self.kernels[l].scrub_digest() };
         if d.is_some() {
-            runs[0].scrubs.fetch_add(1, Ordering::Relaxed);
+            self.runs[l].scrubs.fetch_add(1, Ordering::Relaxed);
         }
-        *lock_recover(&scrub_bases[0]) = d;
+        *lock_recover(&self.scrub_bases[l]) = d;
     }
 
-    // per_thread[t][l] = stats of thread t on loop l (may stop short when
-    // a fault drained the pool).
-    let per_thread: Vec<Vec<ThreadStats>> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..cfg.nthreads)
-            .map(|t| {
-                let (plans, runs, rec, barrier) = (&plans, &runs, &rec, &barrier);
-                let (loop_starts, loop_ends) = (&loop_starts, &loop_ends);
-                let scrub_bases = &scrub_bases;
-                s.spawn(move || {
-                    let mut all = Vec::with_capacity(kernels.len());
-                    'seq: for (l, kernel) in kernels.iter().enumerate() {
-                        match barrier.wait() {
-                            BarrierOutcome::Poisoned => break 'seq,
-                            out if out.is_leader() => {
-                                *lock_recover(&loop_starts[l]) = Some(Instant::now());
-                            }
-                            _ => {}
-                        }
-                        // A quarantined worker executes nothing (ft_worker
-                        // drains immediately) but keeps pacing the
-                        // barriers, so the surviving cascade stays in
-                        // lockstep.
-                        all.push(ft_worker(
-                            kernel, cfg, tol, obs, gov, &plans[l], &runs[l], rec, t as u64,
-                        ));
-                        if let Some(cause) = runs[l].token.poison_cause() {
-                            // Propagate the fault: no worker may block on a
-                            // loop that will never start, and the poisoned
-                            // barrier wakes everyone already waiting.
-                            for later in &runs[l + 1..] {
-                                later.token.poison_with(cause.clone());
-                            }
-                            barrier.poison();
-                            break 'seq;
-                        }
-                        let mut seq_corrupt = false;
-                        match barrier.wait() {
-                            BarrierOutcome::Poisoned => break 'seq,
-                            out if out.is_leader() => {
-                                *lock_recover(&loop_ends[l]) = Some(Instant::now());
-                                // Between sequence loops the leader
-                                // verifies the loop's final chunk and
-                                // runs the arena scrubber. Every other
-                                // worker is parked at the next loop's
-                                // start barrier (or exiting after the
-                                // last loop), so the leader has
-                                // quiescence on this loop's kernel.
-                                if gov.verify.armed() {
-                                    if let Some(p) = lock_recover(&runs[l].verify_slot).take() {
-                                        if p.chunk + 1 == plans[l].num_chunks()
-                                            && verify_committed(
-                                                kernel, &runs[l], rec, gov, tol, p.executor, p,
-                                            ) == VerifyVerdict::Failed
-                                        {
-                                            seq_corrupt = true;
-                                        }
-                                    }
-                                    if !seq_corrupt {
-                                        if let Some(base) = *lock_recover(&scrub_bases[l]) {
-                                            // SAFETY: quiescent (see above).
-                                            if let Some(now_d) = unsafe { kernel.scrub_digest() } {
-                                                let scrubs = &runs[l].scrubs;
-                                                scrubs.fetch_add(1, Ordering::Relaxed);
-                                                if now_d != base {
-                                                    runs[l].record(
-                                                        FaultEvent::CorruptionDetected {
-                                                            chunk: u64::MAX,
-                                                            expected: base,
-                                                            found: now_d,
-                                                            repaired: false,
-                                                        },
-                                                    );
-                                                    runs[l].token.poison_with(
-                                                        PoisonCause::Corrupted {
-                                                            thread: None,
-                                                            chunk: None,
-                                                            resume_at: kernels[l].iters(),
-                                                        },
-                                                    );
-                                                    seq_corrupt = true;
-                                                }
-                                            }
-                                        }
-                                    }
-                                    if !seq_corrupt && l + 1 < kernels.len() {
-                                        // Still quiescent: every earlier
-                                        // loop's writes are in, the next
-                                        // loop's have not begun — the
-                                        // only sound moment for the next
-                                        // loop's baseline.
-                                        // SAFETY: quiescent (see above).
-                                        let d = unsafe { kernels[l + 1].scrub_digest() };
-                                        if d.is_some() {
-                                            let scrubs = &runs[l + 1].scrubs;
-                                            scrubs.fetch_add(1, Ordering::Relaxed);
-                                        }
-                                        *lock_recover(&scrub_bases[l + 1]) = d;
-                                    }
-                                }
-                            }
-                            _ => {}
-                        }
-                        if seq_corrupt {
-                            // Same propagation as a mid-loop fault: no
-                            // worker may block on a loop that will never
-                            // start.
-                            if let Some(cause) = runs[l].token.poison_cause() {
-                                for later in &runs[l + 1..] {
-                                    later.token.poison_with(cause.clone());
-                                }
-                            }
-                            barrier.poison();
-                            break 'seq;
-                        }
-                    }
-                    all
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_default())
-            .collect()
-    });
-
-    let thread_stats_for = |l: usize| -> Vec<ThreadStats> {
-        per_thread
-            .iter()
-            .map(|tv| tv.get(l).cloned().unwrap_or_default())
-            .collect()
-    };
-    let healthy_stats = |l: usize| -> Result<RunStats, RunError> {
-        let (start, end) = loop_stamps(&loop_starts[l], &loop_ends[l])
-            .ok_or(RunError::LeaderLost { loop_idx: l as u64 })?;
-        let faults = runs[l].take_faults();
-        let (retries, quarantined) = tally(&faults);
-        Ok(RunStats {
-            elapsed: end.duration_since(start),
-            chunks: plans[l].num_chunks(),
-            iters: kernels[l].iters(),
-            threads: thread_stats_for(l),
-            degraded: false,
-            faults,
-            retries,
-            quarantined,
-            cancel_latency_ns: gov.cancel.latency().map_or(0, |d| d.as_nanos() as u64),
-            budget_high_water: gov.budget.high_water(),
-            scrubs: runs[l].scrubs.load(Ordering::Relaxed),
-        })
-    };
-
-    let Some(l0) = runs.iter().position(|r| r.token.poison_cause().is_some()) else {
-        return (0..kernels.len()).map(healthy_stats).collect();
-    };
-
-    // --- degraded path ---
-    let cause = runs[l0]
-        .token
-        .poison_cause()
-        .expect("position found a cause");
-    // Global sequential resume point: every iteration of loops before `l`
-    // plus the committed prefix within `l` (completion is in token order).
-    let committed_global = |l: usize, done: u64| -> u64 {
-        let before: u64 = kernels[..l].iter().map(|k| k.iters()).sum();
-        let within = if done < plans[l].num_chunks() {
-            plans[l].range(done).start
-        } else {
-            kernels[l].iters()
-        };
-        before + within
-    };
-
-    // --- cancelled path: drained clean, never salvaged ---
-    if matches!(cause, PoisonCause::Cancelled { .. }) {
-        if runs
-            .iter()
-            .any(|r| r.salvage_unsound.load(Ordering::Acquire))
-        {
-            let all: Vec<FaultEvent> = runs.iter().flat_map(|r| r.take_faults()).collect();
-            return Err(torn_fallback(&all));
-        }
-        let done = runs[l0].completed.load(Ordering::Acquire);
-        return Err(cancel_error(gov, &cause, committed_global(l0, done)));
-    }
-
-    if let PoisonCause::Corrupted {
-        thread,
-        chunk,
-        resume_at,
-    } = &cause
-    {
-        // Corruption is never salvaged (the rollback already restored
-        // the exact clean prefix); rebase the loop-local resume point
-        // onto the global iteration count.
-        let before: u64 = kernels[..l0].iter().map(|k| k.iters()).sum();
-        return Err(RunError::Corrupted {
-            thread: *thread,
-            chunk: *chunk,
-            committed_iters: before + resume_at,
-        });
-    }
-
-    let err = run_error_from(&cause);
-    if !tol.salvage
-        || runs
-            .iter()
-            .any(|r| r.salvage_unsound.load(Ordering::Acquire))
-    {
-        return Err(err);
-    }
-    let mut out: Vec<RunStats> = (0..l0).map(healthy_stats).collect::<Result<_, _>>()?;
-    // Finish loop l0 from its last completed chunk, then run every later
-    // loop start-to-end, all sequentially on this thread. Every worker has
-    // joined, so exclusivity and happens-before hold.
-    for l in l0..kernels.len() {
-        let mut faults = runs[l].take_faults();
-        let m = plans[l].num_chunks();
-        let iters = kernels[l].iters();
-        let mut done = runs[l].completed.load(Ordering::Acquire);
-        let t0 = Instant::now();
-        if done < m {
-            let salvage_from = done;
-            let resume = plans[l].range(salvage_from).start;
-            // Chunk at a time so a cancellation arriving mid-salvage
-            // still stops at an exact chunk boundary with an accurate
-            // (global) resume point.
-            while done < m {
-                if gov.cancel.is_cancelled() {
-                    gov.cancel.note_observed();
-                    return Err(cancel_error(gov, &cause, committed_global(l, done)));
-                }
-                let r = plans[l].range(done);
-                // SAFETY: all workers joined; single-threaded remainder.
-                let salvage = catch_unwind(AssertUnwindSafe(|| unsafe { kernels[l].execute(r) }));
-                if salvage.is_err() {
-                    return Err(err);
-                }
-                done += 1;
+    /// Turn the joined pool's state into the run's outcome: per-loop stats
+    /// for a healthy run, a typed error, or a salvaged (`degraded`)
+    /// result. Every worker has joined, so this thread holds both
+    /// exclusivity and the happens-before edge.
+    fn finish(self, per_thread: Vec<Vec<ThreadStats>>) -> Result<Vec<RunStats>, RunError> {
+        let Sequence {
+            kernels,
+            cfg,
+            plans,
+            runs,
+            loop_starts,
+            loop_ends,
+            ..
+        } = self;
+        let loop_stats = |l: usize, elapsed: Duration, degraded: bool, faults: Vec<FaultEvent>| {
+            let (retries, quarantined) = tally(&faults);
+            RunStats {
+                elapsed,
+                chunks: plans[l].num_chunks(),
+                iters: kernels[l].iters(),
+                threads: per_thread
+                    .iter()
+                    .map(|tv| tv.get(l).cloned().unwrap_or_default())
+                    .collect(),
+                degraded,
+                faults,
+                retries,
+                quarantined,
+                cancel_latency_ns: cfg.cancel.latency().map_or(0, |d| d.as_nanos() as u64),
+                budget_high_water: cfg.budget.high_water(),
+                scrubs: runs[l].scrubs.load(Ordering::Relaxed),
             }
-            faults.push(FaultEvent::Salvaged {
-                from_chunk: salvage_from,
-                iters: iters - resume,
+        };
+        let healthy = |l: usize| -> Result<RunStats, RunError> {
+            let (start, end) = loop_stamps(&loop_starts[l], &loop_ends[l])
+                .ok_or(RunError::LeaderLost { loop_idx: l as u64 })?;
+            Ok(loop_stats(
+                l,
+                end.duration_since(start),
+                false,
+                runs[l].take_faults(),
+            ))
+        };
+
+        let Some(l0) = runs.iter().position(|r| r.token.poison_cause().is_some()) else {
+            return (0..kernels.len()).map(healthy).collect();
+        };
+        let cause = runs[l0]
+            .token
+            .poison_cause()
+            .expect("position found a cause");
+        let fallback = match &cause {
+            PoisonCause::Cancelled { reason } => reason.as_str(),
+            _ => "cancelled",
+        };
+        let before = |l: usize| -> u64 { kernels[..l].iter().map(|k| k.iters()).sum() };
+        // Global sequential resume point: every iteration of loops before
+        // `l` plus the committed prefix within `l` (completion is in token
+        // order).
+        let committed_global = |l: usize, done: u64| -> u64 {
+            let within = if done < plans[l].num_chunks() {
+                plans[l].range(done).start
+            } else {
+                kernels[l].iters()
+            };
+            before(l) + within
+        };
+        let torn = runs
+            .iter()
+            .any(|r| r.salvage_unsound.load(Ordering::Acquire));
+
+        // --- cancelled path: drained clean, never salvaged ---
+        if matches!(cause, PoisonCause::Cancelled { .. }) {
+            if torn {
+                // The in-flight chunk tore while the run drained: the
+                // resume guarantee is broken, report the tear instead.
+                let all: Vec<FaultEvent> = runs.iter().flat_map(|r| r.take_faults()).collect();
+                return Err(torn_fallback(&all));
+            }
+            let done = runs[l0].completed.load(Ordering::Acquire);
+            return Err(cancel_error(
+                &cfg.cancel,
+                fallback,
+                committed_global(l0, done),
+            ));
+        }
+
+        // --- degraded path: a worker panicked, the cascade stalled, or
+        // verification failed ---
+        if let PoisonCause::Corrupted {
+            thread,
+            chunk,
+            resume_at,
+        } = &cause
+        {
+            // Corruption is never salvaged: the chunk was rolled back to
+            // its pre-image (or the drift lies outside every footprint),
+            // and the typed error already carries the exact clean resume
+            // point — re-executing from `completed` could run on top of
+            // the rollback and double-apply writes. Rebase the loop-local
+            // resume point onto the global iteration count.
+            return Err(RunError::Corrupted {
+                thread: *thread,
+                chunk: *chunk,
+                committed_iters: before(l0) + resume_at,
             });
         }
-        let (retries, quarantined) = tally(&faults);
-        out.push(RunStats {
-            elapsed: t0.elapsed(),
-            chunks: m,
-            iters,
-            threads: thread_stats_for(l),
-            degraded: true,
-            faults,
-            retries,
-            quarantined,
-            cancel_latency_ns: gov.cancel.latency().map_or(0, |d| d.as_nanos() as u64),
-            budget_high_water: gov.budget.high_water(),
-            scrubs: runs[l].scrubs.load(Ordering::Relaxed),
-        });
+        let err = run_error_from(&cause);
+        // `salvage_unsound` is only ever set for a *torn* chunk:
+        // interrupted mid-body with neither a fail-stop promise nor a
+        // rolled-back undo journal. Journaled chunks were restored bitwise
+        // by their faulting worker before it drained, so salvage
+        // re-executes pristine state.
+        if !cfg.tolerance.salvage || torn {
+            return Err(err);
+        }
+        let mut out: Vec<RunStats> = (0..l0).map(healthy).collect::<Result<_, _>>()?;
+        // Finish loop l0 from its last completed chunk, then run every
+        // later loop start-to-end, all sequentially on this thread.
+        for l in l0..kernels.len() {
+            let mut faults = runs[l].take_faults();
+            let m = plans[l].num_chunks();
+            let mut done = runs[l].completed.load(Ordering::Acquire);
+            let t0 = Instant::now();
+            if done < m {
+                let salvage_from = done;
+                let resume = plans[l].range(salvage_from).start;
+                // Chunk at a time so a cancellation arriving mid-salvage
+                // still stops at an exact chunk boundary with an accurate
+                // (global) resume point.
+                while done < m {
+                    if cfg.cancel.is_cancelled() {
+                        cfg.cancel.note_observed();
+                        return Err(cancel_error(
+                            &cfg.cancel,
+                            fallback,
+                            committed_global(l, done),
+                        ));
+                    }
+                    let r = plans[l].range(done);
+                    // SAFETY: all workers joined; single-threaded remainder.
+                    let salvage =
+                        catch_unwind(AssertUnwindSafe(|| unsafe { kernels[l].execute(r) }));
+                    if salvage.is_err() {
+                        // The kernel fails even sequentially: report the
+                        // original fault.
+                        return Err(err);
+                    }
+                    done += 1;
+                }
+                faults.push(FaultEvent::Salvaged {
+                    from_chunk: salvage_from,
+                    iters: kernels[l].iters() - resume,
+                });
+            }
+            out.push(loop_stats(l, t0.elapsed(), true, faults));
+        }
+        Ok(out)
     }
-    Ok(out)
 }
 
 /// The leader's start/end stamps of a healthy sequence loop, or `None`
@@ -1863,12 +1616,12 @@ fn loop_stamps(
 /// the roster was remapped — in the last case `j` may no longer be ours
 /// to help for.
 #[inline]
-fn helper_jump_out(run: &FtRun, gov: &Govern, j: u64, epoch: u64) -> bool {
+fn helper_jump_out(run: &FtRun, cancel: &CancelToken, j: u64, epoch: u64) -> bool {
     let raw = run.token.raw();
     raw == POISONED
         || Token::chunk_index(raw) >= j
         || run.roster.epoch() != epoch
-        || gov.cancel.is_cancelled()
+        || cancel.is_cancelled()
 }
 
 /// What one helper phase accomplished.
@@ -1901,9 +1654,8 @@ struct HelperOut {
 #[allow(clippy::too_many_arguments)] // a phase is naturally parameterized by all of these
 fn helper_phase<K: RealKernel>(
     kernel: &K,
-    cfg: &RunnerConfig,
+    cfg: &RunConfig,
     run: &FtRun,
-    gov: &Govern,
     plan: &ChunkPlan,
     j: u64,
     epoch: u64,
@@ -1934,12 +1686,13 @@ fn helper_phase<K: RealKernel>(
             }
         }
     };
-    match cfg.policy {
+    let poll_batch = cfg.runner.poll_batch;
+    match cfg.runner.policy {
         RtPolicy::None => {}
         RtPolicy::Prefetch => {
             let mut i = range.start;
-            while !helper_jump_out(run, gov, j, epoch) && i < range.end {
-                let batch_end = horizon_cap((i + cfg.poll_batch).min(range.end));
+            while !helper_jump_out(run, &cfg.cancel, j, epoch) && i < range.end {
+                let batch_end = horizon_cap((i + poll_batch).min(range.end));
                 if batch_end <= i {
                     // Caught up with the horizon: wait for the token to
                     // commit more chunks (or arrive, via jump-out).
@@ -1959,8 +1712,8 @@ fn helper_phase<K: RealKernel>(
             buf.clear();
             let mut i = range.start;
             let mut supported = true;
-            while supported && !helper_jump_out(run, gov, j, epoch) && i < range.end {
-                let batch_end = horizon_cap((i + cfg.poll_batch).min(range.end));
+            while supported && !helper_jump_out(run, &cfg.cancel, j, epoch) && i < range.end {
+                let batch_end = horizon_cap((i + poll_batch).min(range.end));
                 if batch_end <= i {
                     out.horizon_stalls += 1;
                     std::hint::spin_loop();
@@ -2124,15 +1877,15 @@ fn declare_stall(
 fn wait_to_claim(
     run: &FtRun,
     rec: &Recovery,
-    tol: &Tolerance,
-    gov: &Govern,
+    cfg: &RunConfig,
     t: u64,
     j: u64,
     epoch: u64,
 ) -> ChunkClaim {
     let started = Instant::now();
     let mut observed = run.token.raw();
-    let mut deadline = tol.watchdog.map(|w| Instant::now() + w);
+    let watchdog = cfg.tolerance.watchdog;
+    let mut deadline = watchdog.map(|w| Instant::now() + w);
     let mut spins = 0u64;
     loop {
         let raw = run.token.raw();
@@ -2158,15 +1911,15 @@ fn wait_to_claim(
             if rec.health.is_quarantined(t) {
                 return ChunkClaim::Quarantined;
             }
-            if gov.cancel.is_cancelled() {
+            if cfg.cancel.is_cancelled() {
                 // Poisoning while another executor holds a claim is safe:
                 // its `completed` bump precedes the advance the poison
                 // refuses, so the resume point stays exact
                 // (LateCompletion, like a watchdog poison).
-                poison_cancelled(run, gov);
+                poison_cancelled(run, &cfg.cancel);
                 return ChunkClaim::Poisoned;
             }
-            if let (Some(window), Some(d)) = (tol.watchdog, deadline) {
+            if let (Some(window), Some(d)) = (watchdog, deadline) {
                 let now = Instant::now();
                 let raw_now = run.token.raw();
                 if raw_now != observed {
@@ -2295,8 +2048,7 @@ fn verify_committed<K: RealKernel>(
     kernel: &K,
     run: &FtRun,
     rec: &Recovery,
-    gov: &Govern,
-    tol: &Tolerance,
+    cfg: &RunConfig,
     verifier: u64,
     p: VerifyPacket,
 ) -> VerifyVerdict {
@@ -2316,7 +2068,7 @@ fn verify_committed<K: RealKernel>(
     }
     let found = fnv64(&committed);
 
-    if gov.verify.replays(p.chunk) {
+    if cfg.verify.replays(p.chunk) {
         if let Some(pre) = p.pre_image.as_deref() {
             let replay = || -> Option<Vec<u8>> {
                 // SAFETY: same exclusivity as the capture above; replay
@@ -2354,7 +2106,17 @@ fn verify_committed<K: RealKernel>(
                 } else {
                     None
                 };
-                return convict(kernel, run, rec, tol, verifier, &p, &r1, found, blamed);
+                return convict(
+                    kernel,
+                    run,
+                    rec,
+                    &cfg.tolerance,
+                    verifier,
+                    &p,
+                    &r1,
+                    found,
+                    blamed,
+                );
             }
         }
     }
@@ -2488,13 +2250,12 @@ fn fail_rollback<K: RealKernel>(
     VerifyVerdict::Failed
 }
 
-#[allow(clippy::too_many_arguments)] // a worker is parameterized by the whole run context
+/// Worker `t`'s part in one cascaded loop: help, claim, verify the
+/// predecessor, execute, checkpoint and hand off its chunks until the
+/// loop drains.
 fn ft_worker<K: RealKernel>(
     kernel: &K,
-    cfg: &RunnerConfig,
-    tol: &Tolerance,
-    obs: &Observe,
-    gov: &Govern,
+    cfg: &RunConfig,
     plan: &ChunkPlan,
     run: &FtRun,
     rec: &Recovery,
@@ -2503,7 +2264,9 @@ fn ft_worker<K: RealKernel>(
     // The recorder's transitions replace ad-hoc `Instant` pairs: one
     // timestamp both closes the outgoing phase and opens the incoming
     // one, so the per-phase totals tile this worker's wall time exactly.
-    let mut phases = PhaseRecorder::new(run.origin, obs);
+    let mut phases = PhaseRecorder::new(run.origin, &cfg.observe);
+    let policy = cfg.runner.policy;
+    let tol = &cfg.tolerance;
     run.roster.sync_with(&rec.health);
     let mut stats = ThreadStats::default();
     let mut buf: Vec<u8> = Vec::new();
@@ -2517,11 +2280,11 @@ fn ft_worker<K: RealKernel>(
         if rec.health.is_quarantined(t) {
             return phases.finish(stats);
         }
-        if gov.cancel.is_cancelled() && run.completed.load(Ordering::Acquire) < m {
+        if cfg.cancel.is_cancelled() && run.completed.load(Ordering::Acquire) < m {
             // Cancelled with work still outstanding: drain leader-ward.
             // (When every chunk already committed the run is complete —
             // exactly one terminal outcome, so no poison.)
-            poison_cancelled(run, gov);
+            poison_cancelled(run, &cfg.cancel);
             return phases.finish(stats);
         }
         // The token position is the lowest unexecuted chunk: never look
@@ -2555,7 +2318,7 @@ fn ft_worker<K: RealKernel>(
         phases.transition(PhaseKind::Helper, Some(j));
         let buf_cap0 = buf.capacity();
         let helper = catch_unwind(AssertUnwindSafe(|| {
-            helper_phase(kernel, cfg, run, gov, plan, j, epoch, &range, &mut buf)
+            helper_phase(kernel, cfg, run, plan, j, epoch, &range, &mut buf)
         }));
         let helper = match helper {
             Ok(out) => out,
@@ -2573,15 +2336,15 @@ fn ft_worker<K: RealKernel>(
         // and amortizes to a steady state, so `used` tracks the peak bytes
         // it pins). A refusal cancels the run instead of allocating on.
         let buf_growth = buf.capacity().saturating_sub(buf_cap0) as u64;
-        if !gov.budget.try_reserve(buf_growth) {
-            gov.cancel.cancel_with(
+        if !cfg.budget.try_reserve(buf_growth) {
+            cfg.cancel.cancel_with(
                 CancelKind::Budget {
                     needed: buf_growth,
-                    limit: gov.budget.limit().unwrap_or(0),
+                    limit: cfg.budget.limit().unwrap_or(0),
                 },
                 "helper pack-arena growth exceeds the memory budget",
             );
-            poison_cancelled(run, gov);
+            poison_cancelled(run, &cfg.cancel);
             return phases.finish(stats);
         }
         stats.helper_iters += helper.helped_iters;
@@ -2592,27 +2355,27 @@ fn ft_worker<K: RealKernel>(
         if helper.packed_iters > 0 {
             stats.packed_bytes += buf.len() as u64;
         }
-        if matches!(cfg.policy, RtPolicy::Prefetch) {
+        if matches!(policy, RtPolicy::Prefetch) {
             stats.prefetched_bytes += helper.helped_iters * kernel.prefetch_bytes_per_iter();
         }
-        if helper.helped_iters >= range_len && !matches!(cfg.policy, RtPolicy::None) {
+        if helper.helped_iters >= range_len && !matches!(policy, RtPolicy::None) {
             stats.helper_complete += 1;
         }
 
         // --- wait for the token and claim the chunk ---
         phases.transition(PhaseKind::Spin, Some(j));
-        let claim = wait_to_claim(run, rec, tol, gov, t, j, epoch);
+        let claim = wait_to_claim(run, rec, cfg, t, j, epoch);
         let (claim_ns, _) = phases.transition(PhaseKind::Other, Some(j));
         match claim {
             ChunkClaim::Claimed => {}
             ChunkClaim::Superseded | ChunkClaim::Remapped => continue,
             ChunkClaim::Poisoned | ChunkClaim::Quarantined => return phases.finish(stats),
         }
-        if gov.cancel.is_cancelled() {
+        if cfg.cancel.is_cancelled() {
             // We hold the claim but the body never started: the chunk is
             // pristine, and poisoning the token discards the claim, so
             // `j` stays the first uncommitted chunk.
-            poison_cancelled(run, gov);
+            poison_cancelled(run, &cfg.cancel);
             return phases.finish(stats);
         }
         // Handoff latency: the previous executor stamped the grant of `j`
@@ -2631,12 +2394,12 @@ fn ft_worker<K: RealKernel>(
         // computation — corruption is caught at the handoff, never after
         // the run. Cost rides inside the Other phase as a side counter
         // (`verify_ns`); with `VerifyPolicy::Off` this is one branch.
-        if gov.verify.armed() && j > 0 {
+        if cfg.verify.armed() && j > 0 {
             let t0 = Instant::now();
             if let Some(p) = lock_recover(&run.verify_slot).take() {
                 if p.chunk + 1 == j {
                     stats.verified_chunks += 1;
-                    let verdict = verify_committed(kernel, run, rec, gov, tol, t, p);
+                    let verdict = verify_committed(kernel, run, rec, cfg, t, p);
                     if verdict == VerifyVerdict::Failed {
                         stats.verify_ns += t0.elapsed().as_nanos();
                         return phases.finish(stats);
@@ -2654,11 +2417,11 @@ fn ft_worker<K: RealKernel>(
             // above, and every older chunk passed its own claimant's
             // check. The sink's contiguity tracking makes repeated
             // publication after retries a no-op.
-            if let Some(ck) = &gov.ckpt {
+            if let Some(sink) = &cfg.ckpt_sink {
                 let t0 = Instant::now();
                 let written = catch_unwind(AssertUnwindSafe(|| {
-                    ck.sink.on_commit(
-                        ck.policy,
+                    sink.on_commit(
+                        cfg.ckpt,
                         j,
                         range.start,
                         |c| plan.range(c).start,
@@ -2686,7 +2449,7 @@ fn ft_worker<K: RealKernel>(
         // body runs. The timing rides inside the Execute phase as a side
         // counter (`journal_ns`), so the exact phase partition is
         // untouched.
-        let journaled = if rec.enabled() || tol.salvage || gov.verify.armed() {
+        let journaled = if rec.enabled() || tol.salvage || cfg.verify.armed() {
             let t0 = Instant::now();
             let jbuf_cap0 = jbuf.capacity();
             // SAFETY: we hold the claim — the same exclusivity contract
@@ -2701,15 +2464,15 @@ fn ft_worker<K: RealKernel>(
                     // The chunk body has not started, so a refusal drains
                     // with the chunk pristine and uncommitted.
                     let jbuf_growth = jbuf.capacity().saturating_sub(jbuf_cap0) as u64;
-                    if !gov.budget.try_reserve(jbuf_growth) {
-                        gov.cancel.cancel_with(
+                    if !cfg.budget.try_reserve(jbuf_growth) {
+                        cfg.cancel.cancel_with(
                             CancelKind::Budget {
                                 needed: jbuf_growth,
-                                limit: gov.budget.limit().unwrap_or(0),
+                                limit: cfg.budget.limit().unwrap_or(0),
                             },
                             "undo-journal capture exceeds the memory budget",
                         );
-                        poison_cancelled(run, gov);
+                        poison_cancelled(run, &cfg.cancel);
                         return phases.finish(stats);
                     }
                     if captured {
@@ -2777,7 +2540,7 @@ fn ft_worker<K: RealKernel>(
             return phases.finish(stats);
         }
         let (_, exec_ns) = phases.transition(PhaseKind::Other, Some(j));
-        if gov.cancel.is_cancelled() {
+        if cfg.cancel.is_cancelled() {
             // Cancellation raced the chunk body. We still hold the claim,
             // so abort-must-be-unobservable can hold: roll the journal
             // back (the chunk reverts to uncommitted, bitwise) or, when
@@ -2827,7 +2590,7 @@ fn ft_worker<K: RealKernel>(
                 stats.chunks += 1;
                 run.completed.fetch_max(j + 1, Ordering::AcqRel);
             }
-            poison_cancelled(run, gov);
+            poison_cancelled(run, &cfg.cancel);
             return phases.finish(stats);
         }
         stats.chunk_exec.record(exec_ns);
@@ -2853,15 +2616,15 @@ fn ft_worker<K: RealKernel>(
         // exact phase partition untouched. A panic anywhere in the sink
         // skips the checkpoint and lets the run continue. Under an armed
         // VerifyPolicy publication is deferred to the downstream claimant
-        // (the supervisor, for the final chunk): this chunk enters the
+        // (the end-of-loop leader window, for the final chunk): this chunk enters the
         // checkpoint only after its handoff is verified, so a kill landing
         // between commit and verification can never persist bytes that
         // verification would have rejected.
-        if let Some(ck) = gov.ckpt.as_ref().filter(|_| !gov.verify.armed()) {
+        if let Some(sink) = cfg.ckpt_sink.as_ref().filter(|_| !cfg.verify.armed()) {
             let t0 = Instant::now();
             let written = catch_unwind(AssertUnwindSafe(|| {
-                ck.sink.on_commit(
-                    ck.policy,
+                sink.on_commit(
+                    cfg.ckpt,
                     j + 1,
                     range.end,
                     |c| plan.range(c).start,
@@ -2886,7 +2649,7 @@ fn ft_worker<K: RealKernel>(
         // The pre-image journal rides along to seed the verifier's
         // replay overlay. Cost is a side counter (`verify_ns`) inside
         // the Other phase; with `VerifyPolicy::Off` this is one branch.
-        if gov.verify.armed() && journaled {
+        if cfg.verify.armed() && journaled {
             let t0 = Instant::now();
             let mut committed_bytes = Vec::new();
             // SAFETY: claim still held — the same exclusivity contract
@@ -2937,6 +2700,7 @@ fn ft_worker<K: RealKernel>(
 mod tests {
     use super::*;
     use crate::fault::{FaultKind, FaultPlan, FaultyKernel};
+    use crate::govern::MemBudget;
     use std::cell::UnsafeCell;
 
     /// prefix-sum-style kernel: order-sensitive across the whole loop.
@@ -3443,10 +3207,13 @@ mod tests {
                 FaultyKernel::new(Chain::new(n), plan)
             })
             .collect();
-        let all = try_run_cascaded_sequence(
+        let all = try_run_governed_sequence(
             &kernels,
-            &cfg,
-            &Tolerance::retrying(Duration::from_millis(50)),
+            &RunConfig {
+                runner: cfg,
+                tolerance: Tolerance::retrying(Duration::from_millis(50)),
+                ..RunConfig::default()
+            },
         )
         .expect("the sequence must recover in-cascade");
         assert_eq!(all.len(), 3);
@@ -3533,7 +3300,11 @@ mod tests {
                 FaultyKernel::new(Chain::new(2_000), plan)
             })
             .collect();
-        match try_run_cascaded_sequence(&kernels, &cfg, &Tolerance::default()) {
+        let cfg = RunConfig {
+            runner: cfg,
+            ..RunConfig::default()
+        };
+        match try_run_governed_sequence(&kernels, &cfg) {
             Err(RunError::WorkerPanicked { chunk: 2, .. }) => {}
             other => panic!("expected WorkerPanicked on chunk 2, got {other:?}"),
         }

@@ -67,10 +67,10 @@ use cascade_trace::LoopSpec;
 
 use crate::barrier::{BarrierOutcome, FtBarrier};
 use crate::ckpt::CkptPolicy;
-use crate::govern::{CancelKind, CancelState, CancelToken, Governor, RunConfig};
+use crate::govern::{CancelKind, Governor, RunConfig};
 use crate::kernel::RealKernel;
 use crate::metrics::NsStats;
-use crate::runner::{try_run_governed, FaultEvent, RunError, RunStats, ThreadStats};
+use crate::runner::{cancel_error, try_run_governed, FaultEvent, RunError, RunStats, ThreadStats};
 use crate::token::lock_recover;
 
 /// A committed-iteration frontier on its own cache line, so DOACROSS
@@ -868,68 +868,6 @@ fn uncommitted_gaps(committed: &mut [Range<u64>], iters: u64) -> Vec<Range<u64>>
     gaps
 }
 
-fn cancel_error_planned(cancel: &CancelToken, committed_iters: u64) -> RunError {
-    match cancel.state() {
-        Some(CancelState {
-            kind: CancelKind::Deadline { after },
-            ..
-        }) => RunError::DeadlineExceeded {
-            deadline: after,
-            committed_iters,
-        },
-        Some(CancelState {
-            kind: CancelKind::Budget { needed, limit },
-            ..
-        }) => RunError::BudgetExceeded {
-            needed,
-            limit,
-            committed_iters,
-        },
-        Some(CancelState {
-            kind: CancelKind::User,
-            reason,
-        }) => RunError::Cancelled {
-            reason,
-            committed_iters,
-        },
-        None => RunError::Cancelled {
-            reason: "cancelled".into(),
-            committed_iters,
-        },
-    }
-}
-
-/// Add the planned-run committed prefix to a sequential sub-run's
-/// governance error (its `committed_iters` is loop-local).
-fn offset_committed(e: RunError, prior: u64) -> RunError {
-    match e {
-        RunError::Cancelled {
-            reason,
-            committed_iters,
-        } => RunError::Cancelled {
-            reason,
-            committed_iters: committed_iters + prior,
-        },
-        RunError::DeadlineExceeded {
-            deadline,
-            committed_iters,
-        } => RunError::DeadlineExceeded {
-            deadline,
-            committed_iters: committed_iters + prior,
-        },
-        RunError::BudgetExceeded {
-            needed,
-            limit,
-            committed_iters,
-        } => RunError::BudgetExceeded {
-            needed,
-            limit,
-            committed_iters: committed_iters + prior,
-        },
-        other => other,
-    }
-}
-
 /// Execute a [`TransformPlan`]'s partition on real threads: one kernel
 /// per sub-loop (in partition order, e.g. from [`fission_specs`]
 /// materialized through [`crate::SpecProgram`]), with `Parallel`
@@ -939,9 +877,10 @@ fn offset_committed(e: RunError, prior: u64) -> RunError {
 /// the sub-loops sequentially in plan order — which the plan's replay
 /// oracle has already proved bitwise-identical to the original loop.
 ///
-/// Governance composes: the shared [`CancelToken`] and deadline drain
-/// the pool at post/wait and chunk boundaries with journaled rollback
-/// of the in-flight sub-loop, so governance errors carry a clean
+/// Governance composes: the shared
+/// [`CancelToken`](crate::govern::CancelToken) and deadline drain the
+/// pool at post/wait and chunk boundaries with journaled rollback of the
+/// in-flight sub-loop, so governance errors carry a clean
 /// `committed_iters` prefix **of the fissioned sequence** (completed
 /// sub-loops count their full trip; the cancelled sub-loop is rolled
 /// back to its start, or completed when unjournalable). Faults inside
@@ -950,29 +889,34 @@ fn offset_committed(e: RunError, prior: u64) -> RunError {
 /// [`Tolerance`](crate::runner::Tolerance), or
 /// surface as typed errors under fail-fast.
 ///
-/// Durable checkpoints are not supported in plan mode
-/// (`InvalidConfig`); helper policies are inapplicable (planned stages
-/// have no token waits) and ignored.
+/// Durable checkpoints are not supported in plan mode, and neither is
+/// an armed [`VerifyPolicy`](crate::govern::VerifyPolicy) on a plan with
+/// DOALL/DOACROSS stages (both `InvalidConfig`); helper policies are
+/// inapplicable (planned stages have no token waits) and ignored.
 pub fn try_run_planned<K: RealKernel>(
     kernels: &[K],
     plan: &TransformPlan,
     cfg: &RunConfig,
 ) -> Result<PlannedStats, RunError> {
     cfg.try_validate()?;
-    if cfg.runner.nthreads < 1 {
-        return Err(RunError::InvalidConfig("need at least one thread".into()));
-    }
-    if cfg.runner.iters_per_chunk < 1 {
-        return Err(RunError::InvalidConfig("chunks must be non-empty".into()));
-    }
-    if cfg.runner.poll_batch < 1 {
-        return Err(RunError::InvalidConfig(
-            "poll batch must be positive".into(),
-        ));
-    }
     if !matches!(cfg.ckpt, CkptPolicy::Off) {
         return Err(RunError::InvalidConfig(
             "durable checkpoints are not supported in plan mode; use --mode cascade".into(),
+        ));
+    }
+    if cfg.verify.armed()
+        && plan
+            .partition
+            .iter()
+            .any(|sub| !matches!(sub.schedule, Schedule::Sequential))
+    {
+        // Verification rides the token cascade's checksummed handoffs;
+        // DOALL/DOACROSS stages have none, so an armed policy would
+        // silently leave them unverified.
+        return Err(RunError::InvalidConfig(
+            "online verification covers only sequential sub-loops; this plan has \
+             DOALL/DOACROSS stages — run it with verification off, or use --mode cascade"
+                .into(),
         ));
     }
     if kernels.is_empty() {
@@ -1077,7 +1021,7 @@ pub fn try_run_planned<K: RealKernel>(
             // Governance check between sub-loops.
             if cfg.cancel.is_cancelled() {
                 cfg.cancel.note_observed();
-                return fail(cancel_error_planned(&cfg.cancel, prior_iters));
+                return fail(cancel_error(&cfg.cancel, "cancelled", prior_iters));
             }
             // Reset stage state; the start barrier publishes it.
             for p in &shared.posts {
@@ -1104,8 +1048,8 @@ pub fn try_run_planned<K: RealKernel>(
                     ckpt: CkptPolicy::Off,
                     ckpt_sink: None,
                     // Verification rides the token cascade: the residue's
-                    // handoffs are verified; DOALL/DOACROSS stages have no
-                    // sequential handoff to checksum.
+                    // handoffs are verified (plans with other stages are
+                    // refused above).
                     verify: cfg.verify,
                 };
                 let res = try_run_governed(kernel, &sub_cfg);
@@ -1134,7 +1078,20 @@ pub fn try_run_planned<K: RealKernel>(
                         prior_iters += iters;
                         continue;
                     }
-                    Err(e) => return fail(offset_committed(e, prior_iters)),
+                    // The residue's resume point is loop-local: rebase
+                    // it onto the planned run's committed prefix.
+                    Err(
+                        RunError::Cancelled {
+                            committed_iters: c, ..
+                        }
+                        | RunError::DeadlineExceeded {
+                            committed_iters: c, ..
+                        }
+                        | RunError::BudgetExceeded {
+                            committed_iters: c, ..
+                        },
+                    ) => return fail(cancel_error(&cfg.cancel, "cancelled", prior_iters + c)),
+                    Err(e) => return fail(e),
                 }
             }
 
@@ -1240,7 +1197,7 @@ pub fn try_run_planned<K: RealKernel>(
                     for e in entries {
                         cfg.budget.release(e.reserved);
                     }
-                    return fail(cancel_error_planned(&cfg.cancel, prior_iters));
+                    return fail(cancel_error(&cfg.cancel, "cancelled", prior_iters));
                 }
                 // Unjournalable stage: complete it instead (the
                 // cascade's unjournalable-chunk rule, lifted to a
@@ -1258,7 +1215,7 @@ pub fn try_run_planned<K: RealKernel>(
                     return fail(e);
                 }
                 release_stage_journals(&mut stages);
-                return fail(cancel_error_planned(&cfg.cancel, prior_iters + iters));
+                return fail(cancel_error(&cfg.cancel, "cancelled", prior_iters + iters));
             }
 
             release_stage_journals(&mut stages);

@@ -10,8 +10,8 @@
 use std::time::Duration;
 
 use cascade_rt::{
-    try_run_cascaded, try_run_cascaded_sequence, FaultEvent, FaultKind, FaultPlan, FaultyKernel,
-    RealKernel, RtPolicy, RunError, RunnerConfig, SpecProgram, Tolerance,
+    try_run_cascaded, try_run_governed_sequence, FaultEvent, FaultKind, FaultPlan, FaultyKernel,
+    RealKernel, RtPolicy, RunConfig, RunError, RunnerConfig, SpecProgram, Tolerance,
 };
 use cascade_synth::{Synth, Variant};
 use cascade_wave5::{Parmvr, ParmvrParams};
@@ -287,14 +287,17 @@ fn sequence_salvages_across_loops_bitwise() {
             FaultyKernel::new(prog.kernel(i), plan)
         })
         .collect();
-    let cfg = RunnerConfig {
-        nthreads: 3,
-        iters_per_chunk: CHUNK_ITERS,
-        policy: RtPolicy::Restructure,
-        poll_batch: 8,
+    let cfg = RunConfig {
+        runner: RunnerConfig {
+            nthreads: 3,
+            iters_per_chunk: CHUNK_ITERS,
+            policy: RtPolicy::Restructure,
+            poll_batch: 8,
+        },
+        tolerance: Tolerance::resilient(WATCHDOG),
+        ..RunConfig::default()
     };
-    let stats = try_run_cascaded_sequence(&kernels, &cfg, &Tolerance::resilient(WATCHDOG))
-        .expect("sequence salvage must recover");
+    let stats = try_run_governed_sequence(&kernels, &cfg).expect("sequence salvage must recover");
     drop(kernels);
     assert_eq!(stats.len(), 15);
     for (l, s) in stats.iter().enumerate() {
@@ -337,14 +340,17 @@ fn sequence_stall_is_salvaged_bitwise() {
             FaultyKernel::new(prog.kernel(i), plan)
         })
         .collect();
-    let cfg = RunnerConfig {
-        nthreads: 2,
-        iters_per_chunk: CHUNK_ITERS,
-        policy: RtPolicy::None,
-        poll_batch: 8,
+    let cfg = RunConfig {
+        runner: RunnerConfig {
+            nthreads: 2,
+            iters_per_chunk: CHUNK_ITERS,
+            policy: RtPolicy::None,
+            poll_batch: 8,
+        },
+        tolerance: Tolerance::resilient(WATCHDOG),
+        ..RunConfig::default()
     };
-    let stats = try_run_cascaded_sequence(&kernels, &cfg, &Tolerance::resilient(WATCHDOG))
-        .expect("stalled sequence must salvage");
+    let stats = try_run_governed_sequence(&kernels, &cfg).expect("stalled sequence must salvage");
     drop(kernels);
     assert!(stats[2].degraded);
     assert_eq!(prog.checksum(), expected);

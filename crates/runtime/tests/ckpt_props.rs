@@ -15,7 +15,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use cascade_rt::{
     ckpt, CkptError, CkptMeta, CkptPolicy, CkptSink, CkptWriter, RealKernel, RtPolicy, RunConfig,
-    RunnerConfig, SpecProgram,
+    RunError, RunnerConfig, SpecProgram,
 };
 use cascade_trace::{
     to_text, AddressSpace, Arena, IndexStore, LoopSpec, Mode, Pattern, StreamRef, Workload,
@@ -328,6 +328,15 @@ fn governed_checkpointed_run_restores_bitwise_from_disk() {
         ckpt_sink: Some(sink.clone()),
         ..RunConfig::default()
     };
+    {
+        // A manifest describes one loop's committed prefix: the same
+        // config over a two-loop sequence is refused before anything runs.
+        let two = [prog.kernel(0), prog.kernel(0)];
+        match cascade_rt::try_run_governed_sequence(&two, &cfg) {
+            Err(RunError::InvalidConfig(msg)) => assert!(msg.contains("single"), "{msg}"),
+            other => panic!("expected InvalidConfig, got {other:?}"),
+        }
+    }
     {
         let k = prog.kernel(0);
         cascade_rt::try_run_governed(&k, &cfg).expect("governed run");

@@ -14,7 +14,7 @@ use std::time::Duration;
 
 use cascade_core::{CascadeMetrics, LatencyStats, MetricsSource, WorkerMetrics};
 use cascade_rt::{
-    try_run_cascaded, try_run_cascaded_observed, NsStats, Observe, RtPolicy, RunStats,
+    try_run_cascaded, try_run_governed, NsStats, Observe, RtPolicy, RunConfig, RunStats,
     RunnerConfig, SpecProgram, Tolerance,
 };
 use cascade_synth::{Synth, Variant};
@@ -30,8 +30,12 @@ fn run_observed(n: u64, policy: RtPolicy, nthreads: usize, obs: &Observe) -> Run
         policy,
         poll_batch: 32,
     };
-    try_run_cascaded_observed(&k, &cfg, &Tolerance::default(), obs)
-        .expect("fault-free run must succeed")
+    let cfg = RunConfig {
+        runner: cfg,
+        observe: obs.clone(),
+        ..RunConfig::default()
+    };
+    try_run_governed(&k, &cfg).expect("fault-free run must succeed")
 }
 
 #[test]
@@ -170,7 +174,12 @@ fn recorder_overhead_stays_within_the_fault_free_guard() {
         let s = Synth::build(n, Variant::Dense, 1234);
         let prog = SpecProgram::new(s.workload, s.arena).unwrap();
         let k = prog.kernel(0);
-        try_run_cascaded_observed(&k, &cfg, &Tolerance::default(), obs)
+        let cfg = RunConfig {
+            runner: cfg.clone(),
+            observe: obs.clone(),
+            ..RunConfig::default()
+        };
+        try_run_governed(&k, &cfg)
             .expect("fault-free run must succeed")
             .elapsed
     };

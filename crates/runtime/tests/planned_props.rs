@@ -23,6 +23,7 @@ use cascade_analyze::plan::{plan_loop, Schedule};
 use cascade_rt::{
     doacross_order, fission_specs, try_run_planned, CancelToken, FaultKind, FaultPlan,
     FaultyKernel, RealKernel, RtPolicy, RunConfig, RunError, RunnerConfig, SpecProgram, Tolerance,
+    VerifyPolicy,
 };
 use cascade_trace::{
     AddressSpace, Arena, IndexStore, LoopSpec, Mode, Pattern, StreamRef, Workload,
@@ -392,6 +393,36 @@ fn lag2_recurrence_plans_doacross_and_runs_bitwise() {
         "DOACROSS pipeline never crossed a chunk boundary: {stats:?}"
     );
     assert_eq!(prog.checksum(), expected, "DOACROSS execution diverged");
+}
+
+/// An armed `VerifyPolicy` verifies the token cascade's checksummed
+/// handoffs; DOALL/DOACROSS stages have none. A plan with such a stage is
+/// refused up front instead of running with the stage silently
+/// unverified, and the arena is left untouched.
+#[test]
+fn armed_verify_refuses_plans_with_parallel_stages() {
+    let s = lag2_scenario();
+    let (w, arena) = build(&s);
+    let (mut prog, plan) = fissioned_program(&w, arena);
+    let before = prog.checksum();
+    for verify in [VerifyPolicy::Checksum, VerifyPolicy::EveryChunk] {
+        let res = {
+            let kernels: Vec<_> = (0..plan.partition.len()).map(|g| prog.kernel(g)).collect();
+            let cfg = RunConfig {
+                runner: runner(&s),
+                verify,
+                ..RunConfig::default()
+            };
+            try_run_planned(&kernels, &plan, &cfg)
+        };
+        match res {
+            Err(RunError::InvalidConfig(msg)) => {
+                assert!(msg.contains("verification"), "{verify:?}: {msg}")
+            }
+            other => panic!("{verify:?}: expected InvalidConfig, got {other:?}"),
+        }
+    }
+    assert_eq!(prog.checksum(), before, "a refused plan must not run");
 }
 
 /// Replay `doacross_order`'s adversarial greedy-max schedule through the

@@ -153,7 +153,7 @@ fn stats_account_every_iteration_under_contention() {
 
 #[test]
 fn persistent_pool_sequence_matches_per_loop_runs() {
-    use cascade_rt::run_cascaded_sequence;
+    use cascade_rt::{try_run_governed_sequence, RunConfig};
     let build = || {
         let p = Parmvr::build(ParmvrParams {
             scale: 0.005,
@@ -179,7 +179,14 @@ fn persistent_pool_sequence_matches_per_loop_runs() {
     // Persistent pool over the whole sequence.
     let mut prog = build();
     let kernels: Vec<_> = (0..prog.num_loops()).map(|i| prog.kernel(i)).collect();
-    let stats = run_cascaded_sequence(&kernels, &cfg);
+    let stats = try_run_governed_sequence(
+        &kernels,
+        &RunConfig {
+            runner: cfg,
+            ..RunConfig::default()
+        },
+    )
+    .expect("fault-free sequence must succeed");
     drop(kernels);
     assert_eq!(stats.len(), 15);
     for (l, s) in stats.iter().enumerate() {
@@ -245,7 +252,7 @@ fn poisoned_token_panics_waiters() {
 /// all three workers drained, instead of hanging at a barrier or token.
 #[test]
 fn sequence_panic_poisons_later_loops_and_unblocks_workers() {
-    use cascade_rt::{try_run_cascaded_sequence, RunError, Tolerance};
+    use cascade_rt::{try_run_governed_sequence, RunConfig, RunError};
     let kernels = [
         PanickingKernel {
             panic_at: u64::MAX,
@@ -260,60 +267,59 @@ fn sequence_panic_poisons_later_loops_and_unblocks_workers() {
             n: 4_000,
         }, // loop 2: must never hang
     ];
-    let cfg = RunnerConfig {
-        nthreads: 3,
-        iters_per_chunk: 100,
-        policy: RtPolicy::None,
-        poll_batch: 4,
-    };
-    match try_run_cascaded_sequence(&kernels, &cfg, &Tolerance::default()) {
-        Err(RunError::WorkerPanicked { chunk: 5, .. }) => {}
-        other => panic!("expected WorkerPanicked on chunk 5, got {other:?}"),
-    }
-    // The panicking shim keeps the legacy behavior: it panics.
-    let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        cascade_rt::run_cascaded_sequence(&kernels, &cfg)
-    }));
-    assert!(r.is_err(), "the sequence shim must propagate the failure");
-}
-
-/// Regression: `run_cascaded_sequence` used to skip the configuration
-/// validation `run_cascaded` performs, so a zero `poll_batch` hung the
-/// helpers and a zero `iters_per_chunk` div-by-zeroed the chunk plan.
-#[test]
-#[should_panic(expected = "poll batch must be positive")]
-fn sequence_rejects_zero_poll_batch() {
-    let kernels = [PanickingKernel {
-        panic_at: u64::MAX,
-        n: 1_000,
-    }];
-    cascade_rt::run_cascaded_sequence(
-        &kernels,
-        &RunnerConfig {
-            nthreads: 2,
+    let cfg = RunConfig {
+        runner: RunnerConfig {
+            nthreads: 3,
             iters_per_chunk: 100,
-            policy: RtPolicy::Restructure,
-            poll_batch: 0,
-        },
-    );
-}
-
-#[test]
-#[should_panic(expected = "chunks must be non-empty")]
-fn sequence_rejects_zero_chunk_iters() {
-    let kernels = [PanickingKernel {
-        panic_at: u64::MAX,
-        n: 1_000,
-    }];
-    cascade_rt::run_cascaded_sequence(
-        &kernels,
-        &RunnerConfig {
-            nthreads: 2,
-            iters_per_chunk: 0,
             policy: RtPolicy::None,
             poll_batch: 4,
         },
-    );
+        ..RunConfig::default()
+    };
+    match try_run_governed_sequence(&kernels, &cfg) {
+        Err(RunError::WorkerPanicked { chunk: 5, .. }) => {}
+        other => panic!("expected WorkerPanicked on chunk 5, got {other:?}"),
+    }
+}
+
+/// The sequence entry point validates the runner geometry like the
+/// single-loop one: a zero `poll_batch` would hang the helpers and a zero
+/// `iters_per_chunk` would div-by-zero the chunk plan.
+fn sequence_config_error(runner: RunnerConfig) -> String {
+    let kernels = [PanickingKernel {
+        panic_at: u64::MAX,
+        n: 1_000,
+    }];
+    let cfg = cascade_rt::RunConfig {
+        runner,
+        ..cascade_rt::RunConfig::default()
+    };
+    match cascade_rt::try_run_governed_sequence(&kernels, &cfg) {
+        Err(cascade_rt::RunError::InvalidConfig(msg)) => msg,
+        other => panic!("expected InvalidConfig, got {other:?}"),
+    }
+}
+
+#[test]
+fn sequence_rejects_zero_poll_batch() {
+    let msg = sequence_config_error(RunnerConfig {
+        nthreads: 2,
+        iters_per_chunk: 100,
+        policy: RtPolicy::Restructure,
+        poll_batch: 0,
+    });
+    assert!(msg.contains("poll batch must be positive"), "{msg}");
+}
+
+#[test]
+fn sequence_rejects_zero_chunk_iters() {
+    let msg = sequence_config_error(RunnerConfig {
+        nthreads: 2,
+        iters_per_chunk: 0,
+        policy: RtPolicy::None,
+        poll_batch: 4,
+    });
+    assert!(msg.contains("chunks must be non-empty"), "{msg}");
 }
 
 /// Fault-free overhead guard: the full recovery ladder
